@@ -2,17 +2,18 @@ open Psb_isa
 
 type t = {
   program : Program.t;
+  by_label : Program.block Label.Map.t;
   preds : Label.t list Label.Map.t;
   rpo : Label.t list;
 }
 
-let compute_rpo program =
+let compute_rpo program by_label =
   let visited = Hashtbl.create 16 in
   let order = ref [] in
   let rec dfs l =
     if not (Hashtbl.mem visited l) then begin
       Hashtbl.add visited l ();
-      let b = Program.find program l in
+      let b = Label.Map.find l by_label in
       List.iter dfs (Program.successors b);
       order := l :: !order
     end
@@ -21,11 +22,16 @@ let compute_rpo program =
   !order
 
 let of_program program =
-  let rpo = compute_rpo program in
+  let by_label =
+    List.fold_left
+      (fun m (b : Program.block) -> Label.Map.add b.Program.label b m)
+      Label.Map.empty program.Program.blocks
+  in
+  let rpo = compute_rpo program by_label in
   let preds =
     List.fold_left
       (fun acc l ->
-        let b = Program.find program l in
+        let b = Label.Map.find l by_label in
         List.fold_left
           (fun acc s ->
             let existing = Option.value (Label.Map.find_opt s acc) ~default:[] in
@@ -34,11 +40,11 @@ let of_program program =
           acc (Program.successors b))
       Label.Map.empty rpo
   in
-  { program; preds; rpo }
+  { program; by_label; preds; rpo }
 
 let program t = t.program
 let entry t = t.program.Program.entry
-let block t l = Program.find t.program l
+let block t l = Label.Map.find l t.by_label
 let blocks t = List.map (block t) t.rpo
 let succs t l = Program.successors (block t l)
 let preds t l = Option.value (Label.Map.find_opt l t.preds) ~default:[]

@@ -133,8 +133,7 @@ let compile ?metrics ?cache ?(single_shadow = true) ?(avoid_commit_deps = false)
       Compile_cache.find_or_compile cache key build
 
 let estimate_cycles c program ~block_trace =
-  (Cycles.measure ~units:c.units ~schedules:c.schedules program ~block_trace)
-    .Cycles.cycles
+  Cycles.measure ~units:c.units ~schedules:c.schedules program ~block_trace
 
 let run_vliw ?regfile_mode ?pred_kernel ?exec_kernel ?on_event ?events ?metrics
     c ~regs ~mem =

@@ -68,8 +68,10 @@ val compile :
     with other callers (and other domains) — treat it as read-only,
     which every consumer already does. *)
 
-val estimate_cycles : compiled -> Program.t -> block_trace:Label.t list -> int
-(** Trace-driven cycle count (see {!Cycles}). *)
+val estimate_cycles : compiled -> Program.t -> block_trace:int array -> int
+(** Trace-driven cycle count (see {!Cycles}). [block_trace] is the
+    scalar run's [Interp.result.block_trace] on this program: block
+    indices numbered by position in [Program.blocks]. *)
 
 val run_vliw :
   ?regfile_mode:Psb_machine.Regfile.mode ->

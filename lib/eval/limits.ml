@@ -143,9 +143,8 @@ let analyze (w : Dsl.t) =
     | Instr.Store { src; _ } -> mem_write (Option.get addr) (rr src)
     | Instr.Setc _ | Instr.Out _ | Instr.Nop -> ()
   in
-  List.iter
-    (fun label ->
-      let bi = Decoded.block_index decoded label in
+  Array.iter
+    (fun bi ->
       let hi = decoded.Decoded.op_bounds.(bi + 1) in
       for i = decoded.Decoded.op_bounds.(bi) to hi - 1 do
         step decoded.Decoded.ops.(i)

@@ -23,6 +23,9 @@
         "sweep":      [ {"taken_prob", "trace", "region"} ... ],
         "limits":     [ {"name", "dyn_instrs", "block_ipc", "oracle_ipc",
                          "headroom"} ... ],
+        "limits-gen": (only when named and passed in [~extra]) the
+                      "limits" rows over the generator fleet,
+                      named [gen-NNN],
         "hwcost":     { ... the Hwcost.report fields ... },
         "rob":        { "rows": [{"name", "scalar_cycles", "rob_cycles",
                          "speedup", "mispredicts", "squashed",
@@ -65,10 +68,22 @@ val experiment_names : string list
 val experiment : Harness.t -> string -> Json.t option
 (** Run one experiment by its bench/CLI name; [None] for unknown names. *)
 
-val all : ?names:string list -> ?runtime:bool -> Harness.t -> Json.t
+val all :
+  ?names:string list ->
+  ?extra:(string * (unit -> Json.t)) list ->
+  ?runtime:bool ->
+  Harness.t ->
+  Json.t
 (** The full document ([names] defaults to {!experiment_names});
+    [extra] adds experiments this library cannot run itself (the bench's
+    generator-fleet [limits-gen], whose programs come from a library
+    above this one): a name listed there is run by its function and
+    timed like the rest, and may then appear in [names];
     [~runtime:true] (default false) appends the "runtime" member with
     per-domain wall-clock and compile-cache statistics.
     @raise Invalid_argument on an unknown name. *)
+
+val limits_json : Limits.row list -> Json.t
+(** The "limits" rows, for any set of {!Limits.analyze} results. *)
 
 val speedup_table_json : Experiments.speedup_table -> Json.t

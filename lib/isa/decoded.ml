@@ -51,10 +51,7 @@ let block_ops d bi = d.op_bounds.(bi + 1) - d.op_bounds.(bi)
 let of_program (p : Program.t) =
   let blocks = Array.of_list p.Program.blocks in
   let nblocks = Array.length blocks in
-  let index : (string, int) Hashtbl.t = Hashtbl.create (2 * nblocks) in
-  Array.iteri
-    (fun i (b : Program.block) -> Hashtbl.add index (Label.name b.Program.label) i)
-    blocks;
+  let index = Program.block_index p in
   (* Unknown targets become -1 and only raise if control actually
      reaches them, matching the tree path's lazy [Program.find]. *)
   let resolve l =

@@ -5,7 +5,7 @@ type result = {
   output : int list;
   cycles : int;
   dyn_instrs : int;
-  block_trace : Label.t list;
+  block_trace : int array;
   regs : int Reg.Map.t;
   faults_handled : int;
 }
@@ -18,7 +18,8 @@ type env = {
   mutable output_rev : int list;
   mutable cycles : int;
   mutable dyn_instrs : int;
-  mutable trace_rev : Label.t list;
+  mutable trace : int array; (* block indices entered, [trace_len] valid *)
+  mutable trace_len : int;
   mutable faults_handled : int;
   mutable last_load_dst : Reg.t option; (* for the load-use interlock *)
 }
@@ -69,6 +70,15 @@ let rec exec_op env op =
       exec_op env op
     end
 
+let record_block env bi =
+  if env.trace_len = Array.length env.trace then begin
+    let bigger = Array.make (2 * env.trace_len) 0 in
+    Array.blit env.trace 0 bigger 0 env.trace_len;
+    env.trace <- bigger
+  end;
+  env.trace.(env.trace_len) <- bi;
+  env.trace_len <- env.trace_len + 1
+
 let charge env op =
   env.dyn_instrs <- env.dyn_instrs + 1;
   env.cycles <- env.cycles + 1;
@@ -97,7 +107,8 @@ let run ?(fuel = default_fuel) ?(record_trace = true)
       output_rev = [];
       cycles = 0;
       dyn_instrs = 0;
-      trace_rev = [];
+      trace = (if record_trace then Array.make 256 0 else [||]);
+      trace_len = 0;
       faults_handled = 0;
       last_load_dst = None;
     }
@@ -114,18 +125,24 @@ let run ?(fuel = default_fuel) ?(record_trace = true)
       output = List.rev env.output_rev;
       cycles = env.cycles;
       dyn_instrs = env.dyn_instrs;
-      block_trace = List.rev env.trace_rev;
+      block_trace = Array.sub env.trace 0 env.trace_len;
       regs = final_regs;
       faults_handled = env.faults_handled;
     }
   in
   (* ----- tree kernel: walk the block lists, match the variants ----- *)
+  let rec find_indexed label i = function
+    | [] -> raise Not_found
+    | (b : Program.block) :: rest ->
+        if Label.equal b.Program.label label then (i, b)
+        else find_indexed label (i + 1) rest
+  in
   let rec run_block label =
     if env.dyn_instrs > fuel then finish Out_of_fuel
     else begin
-      if record_trace then env.trace_rev <- label :: env.trace_rev;
+      let bi, b = find_indexed label 0 program.Program.blocks in
+      if record_trace then record_block env bi;
       (match on_block with None -> () | Some f -> f env.cycles label);
-      let b = Program.find program label in
       List.iter
         (fun op ->
           charge env op;
@@ -236,7 +253,7 @@ let run ?(fuel = default_fuel) ?(record_trace = true)
       if env.dyn_instrs > fuel then finish Out_of_fuel
       else if bi < 0 then raise Not_found (* parity with the tree path's find *)
       else begin
-        if record_trace then env.trace_rev <- labels.(bi) :: env.trace_rev;
+        if record_trace then record_block env bi;
         (match on_block with None -> () | Some f -> f env.cycles labels.(bi));
         let hi = op_bounds.(bi + 1) in
         for i = op_bounds.(bi) to hi - 1 do

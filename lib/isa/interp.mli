@@ -16,7 +16,12 @@ type result = {
   output : int list;  (** values emitted by [Out], in order *)
   cycles : int;
   dyn_instrs : int;
-  block_trace : Label.t list;  (** blocks entered, in order *)
+  block_trace : int array;
+      (** Blocks entered, in order, as dense block indices: entry [i]
+          names the block at position [i] of [Program.blocks] — the
+          numbering of {!Program.block_index} and {!Decoded} (whose
+          [labels] array maps an index back to its label). Both kernels
+          record identical traces. Empty when [record_trace] is false. *)
   regs : int Reg.Map.t;  (** final register file (registers ever written) *)
   faults_handled : int;
 }

@@ -37,6 +37,11 @@ let make ~entry blocks =
   { entry; blocks }
 
 let find t l = List.find (fun b -> Label.equal b.label l) t.blocks
+let block_index t =
+  let index = Hashtbl.create (2 * List.length t.blocks) in
+  List.iteri (fun i b -> Hashtbl.replace index b.label i) t.blocks;
+  index
+
 let mem_label t l = List.exists (fun b -> Label.equal b.label l) t.blocks
 let labels t = List.map (fun b -> b.label) t.blocks
 

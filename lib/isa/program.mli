@@ -17,6 +17,11 @@ val make : entry:Label.t -> block list -> t
 val find : t -> Label.t -> block
 (** @raise Not_found if no block carries the label. *)
 
+val block_index : t -> (Label.t, int) Hashtbl.t
+(** Label → position in [blocks]: the dense {e block index} numbering
+    shared by {!Decoded}, [Interp.result.block_trace], {!Trace} and the
+    trace-driven cycle estimator. Built fresh on each call (O(blocks)). *)
+
 val mem_label : t -> Label.t -> bool
 val labels : t -> Label.t list
 val size : t -> int

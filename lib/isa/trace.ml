@@ -1,61 +1,90 @@
 type t = {
-  block_counts : (Label.t, int) Hashtbl.t;
-  edge_counts : (Label.t * Label.t, int) Hashtbl.t;
-  (* Per dynamic branch, in execution order: (branch block, went-to-if_true). *)
-  branch_stream : (Label.t * bool) array;
-  predictions : (Label.t, bool) Hashtbl.t;
+  index : (Label.t, int) Hashtbl.t;  (* label → block index *)
+  blocks : Program.block array;
+  counts : int array;  (* executions per block *)
+  last : int;  (* the trace's final block (no successor), [-1] if empty *)
+  branches : int array;  (* branch blocks: executions with a successor *)
+  taken : int array;  (* ... of which went to [if_true] *)
+  (* Per dynamic branch, in execution order: [2 * block + went-to-if_true]. *)
+  branch_stream : int array;
 }
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
-
-let of_blocks program blocks =
-  let block_counts = Hashtbl.create 64 in
-  let edge_counts = Hashtbl.create 64 in
-  let stream_rev = ref [] in
-  let taken_counts = Hashtbl.create 64 in
-  let rec walk = function
-    | [] -> ()
-    | [ last ] -> bump block_counts last
-    | b1 :: (b2 :: _ as rest) ->
-        bump block_counts b1;
-        bump edge_counts (b1, b2);
-        (match (Program.find program b1).Program.term with
-        | Instr.Br { if_true; _ } ->
-            let taken = Label.equal b2 if_true in
-            stream_rev := (b1, taken) :: !stream_rev;
-            let t, n =
-              Option.value (Hashtbl.find_opt taken_counts b1) ~default:(0, 0)
-            in
-            Hashtbl.replace taken_counts b1
-              (if taken then (t + 1, n) else (t, n + 1))
-        | Instr.Jmp _ | Instr.Halt -> ());
-        walk rest
-  in
-  walk blocks;
-  let predictions = Hashtbl.create 64 in
-  Hashtbl.iter (fun l (t, n) -> Hashtbl.replace predictions l (t >= n)) taken_counts;
+let of_result program (r : Interp.result) =
+  let blocks = Array.of_list program.Program.blocks in
+  let nblocks = Array.length blocks in
+  let index = Program.block_index program in
+  let true_target = Array.make nblocks (-1) in
+  Array.iteri
+    (fun i (b : Program.block) ->
+      match b.Program.term with
+      | Instr.Br { if_true; _ } -> true_target.(i) <- Hashtbl.find index if_true
+      | Instr.Jmp _ | Instr.Halt -> ())
+    blocks;
+  let trace = r.Interp.block_trace in
+  let n = Array.length trace in
+  let counts = Array.make nblocks 0 in
+  let branches = Array.make nblocks 0 in
+  let taken = Array.make nblocks 0 in
+  let dynamic_branches = ref 0 in
+  for i = 0 to n - 1 do
+    let b = trace.(i) in
+    counts.(b) <- counts.(b) + 1;
+    if i + 1 < n && true_target.(b) >= 0 then begin
+      branches.(b) <- branches.(b) + 1;
+      incr dynamic_branches
+    end
+  done;
+  let branch_stream = Array.make !dynamic_branches 0 in
+  let k = ref 0 in
+  for i = 0 to n - 2 do
+    let b = trace.(i) in
+    let t = true_target.(b) in
+    if t >= 0 then begin
+      let tk = trace.(i + 1) = t in
+      if tk then taken.(b) <- taken.(b) + 1;
+      branch_stream.(!k) <- (2 * b) + Bool.to_int tk;
+      incr k
+    end
+  done;
   {
-    block_counts;
-    edge_counts;
-    branch_stream = Array.of_list (List.rev !stream_rev);
-    predictions;
+    index;
+    blocks;
+    counts;
+    last = (if n = 0 then -1 else trace.(n - 1));
+    branches;
+    taken;
+    branch_stream;
   }
 
-let of_result program (r : Interp.result) = of_blocks program r.Interp.block_trace
+let find t l = Hashtbl.find_opt t.index l
 
-let block_count t l = Option.value (Hashtbl.find_opt t.block_counts l) ~default:0
+let block_count t l = match find t l with Some b -> t.counts.(b) | None -> 0
 
 let edge_count t ~src ~dst =
-  Option.value (Hashtbl.find_opt t.edge_counts (src, dst)) ~default:0
+  match find t src with
+  | None -> 0
+  | Some b -> (
+      match t.blocks.(b).Program.term with
+      | Instr.Halt -> 0
+      | Instr.Jmp l ->
+          if Label.equal l dst then t.counts.(b) - Bool.to_int (b = t.last)
+          else 0
+      | Instr.Br { if_true; if_false; _ } ->
+          (if Label.equal if_true dst then t.taken.(b) else 0)
+          + if Label.equal if_false dst then t.branches.(b) - t.taken.(b) else 0)
 
 let hot_blocks ?limit t =
+  let all = ref [] in
+  Array.iteri
+    (fun b n -> if n > 0 then all := (t.blocks.(b).Program.label, n) :: !all)
+    t.counts;
   let all =
-    Hashtbl.fold (fun l n acc -> (l, n) :: acc) t.block_counts []
-    |> List.sort (fun (la, na) (lb, nb) ->
-           match compare nb na with
-           | 0 -> compare (Label.name la) (Label.name lb)
-           | c -> c)
+    List.sort
+      (fun (la, na) (lb, nb) ->
+        match compare nb na with
+        | 0 -> compare (Label.name la) (Label.name lb)
+        | c -> c)
+      !all
   in
   match limit with
   | None -> all
@@ -64,20 +93,24 @@ let hot_blocks ?limit t =
 let dynamic_branches t = Array.length t.branch_stream
 
 let taken_fraction t l =
-  let total = ref 0 and taken = ref 0 in
-  Array.iter
-    (fun (b, tk) ->
-      if Label.equal b l then begin
-        incr total;
-        if tk then incr taken
-      end)
-    t.branch_stream;
-  if !total = 0 then None else Some (float_of_int !taken /. float_of_int !total)
+  match find t l with
+  | None -> None
+  | Some b ->
+      let total = t.branches.(b) in
+      if total = 0 then None
+      else Some (float_of_int t.taken.(b) /. float_of_int total)
 
-let predict t l = Option.value (Hashtbl.find_opt t.predictions l) ~default:true
+(* Majority direction of block [b]; [true] when it never branched. *)
+let predict_index t b =
+  let taken = t.taken.(b) in
+  taken >= t.branches.(b) - taken
+
+let predict t l = match find t l with Some b -> predict_index t b | None -> true
 
 let correctness t =
-  Array.map (fun (b, taken) -> predict t b = taken) t.branch_stream
+  Array.map
+    (fun s -> predict_index t (s lsr 1) = (s land 1 = 1))
+    t.branch_stream
 
 let prediction_accuracy t =
   let c = correctness t in

@@ -375,7 +375,7 @@ let scalar_results_agree (a : Interp.result) (b : Interp.result) =
   && a.Interp.output = b.Interp.output
   && a.Interp.cycles = b.Interp.cycles
   && a.Interp.dyn_instrs = b.Interp.dyn_instrs
-  && List.equal Label.equal a.Interp.block_trace b.Interp.block_trace
+  && a.Interp.block_trace = b.Interp.block_trace
   && Reg.Map.equal Int.equal a.Interp.regs b.Interp.regs
   && a.Interp.faults_handled = b.Interp.faults_handled
 

@@ -415,6 +415,25 @@ let test_report_speculation_member () =
         entries
   | _ -> Alcotest.fail "speculation member is not an object"
 
+(* Experiments passed in through [~extra] (the bench's generator-fleet
+   limits-gen) run alongside the built-in ones, in the order named, and
+   reach the document under their own name. *)
+let test_report_extra_experiment () =
+  let fleet = Psb_proptest.Fuzz.limits_fleet ~n:2 ~seed:7 () in
+  let doc =
+    Report.all ~names:[ "limits-gen"; "table2" ]
+      ~extra:[ ("limits-gen", fun () -> Report.limits_json fleet) ]
+      (Lazy.force h)
+  in
+  let open Psb_obs.Json in
+  match member "experiments" doc with
+  | Some (Obj [ ("limits-gen", List rows); ("table2", _) ]) ->
+      Alcotest.(check (list string)) "fleet rows" [ "gen-000"; "gen-001" ]
+        (List.map
+           (fun r -> Option.get (Option.bind (member "name" r) to_str))
+           rows)
+  | _ -> Alcotest.fail "limits-gen missing from the experiments member"
+
 (* ---------- rival ROB experiment ---------- *)
 
 let test_rob_experiment () =
@@ -495,6 +514,8 @@ let () =
         [
           Alcotest.test_case "schema 4 speculation" `Slow
             test_report_speculation_member;
+          Alcotest.test_case "extra experiment" `Quick
+            test_report_extra_experiment;
           Alcotest.test_case "rob experiment" `Quick test_rob_experiment;
           Alcotest.test_case "hwcost rob fields" `Quick
             test_hwcost_json_rob_fields;

@@ -287,8 +287,11 @@ let test_interp_loop () =
   let p, regs = branchy ~n:10 in
   let r = Interp.run ~regs ~mem:(Memory.create ~size:16) p in
   Alcotest.(check (list int)) "sum 1..10" [ 55 ] r.Interp.output;
+  let head = Hashtbl.find (Program.block_index p) (lbl "head") in
   check_int "head visits" 11
-    (List.length (List.filter (Label.equal (lbl "head")) r.Interp.block_trace))
+    (Array.fold_left
+       (fun n b -> if b = head then n + 1 else n)
+       0 r.Interp.block_trace)
 
 let test_interp_fatal_fault () =
   let p =
@@ -346,10 +349,16 @@ let test_interp_div_fault () =
    the same count-down loop run for 100x the iterations may not cost
    meaningfully more minor words (a recorded trace alone is multiple
    words per block entered, which the trace-on control run pins). *)
-let minor_words_of f =
-  let w0 = Gc.minor_words () in
+(* Words allocated by [f] on either heap: the trace buffer outgrows the
+   minor heap's size limit, so it is allocated directly in the major heap. *)
+let allocated_words_of f =
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
   f ();
-  Gc.minor_words () -. w0
+  allocated () -. w0
 
 let test_interp_no_trace_no_alloc () =
   let program =
@@ -387,9 +396,9 @@ let test_interp_no_trace_no_alloc () =
   in
   (* warm up so any one-time setup is off the measurement *)
   ignore (go ~record_trace:false 10);
-  let small = minor_words_of (fun () -> ignore (go ~record_trace:false 1_000)) in
+  let small = allocated_words_of (fun () -> ignore (go ~record_trace:false 1_000)) in
   let large =
-    minor_words_of (fun () -> ignore (go ~record_trace:false 100_000))
+    allocated_words_of (fun () -> ignore (go ~record_trace:false 100_000))
   in
   check_bool
     (Printf.sprintf
@@ -398,16 +407,16 @@ let test_interp_no_trace_no_alloc () =
     true
     (large -. small < 4096.);
   (* control: with the trace on, allocation does scale with the blocks
-     entered — the delta above really is the trace cells' absence *)
+     entered — the delta above really is the trace buffer's absence *)
   let traced =
-    minor_words_of (fun () -> ignore (go ~record_trace:true 100_000))
+    allocated_words_of (fun () -> ignore (go ~record_trace:true 100_000))
   in
   check_bool
     (Printf.sprintf "trace-on control allocates per block (%.0f words)" traced)
     true
     (traced -. large > 100_000.);
   let r = go ~record_trace:false 5 in
-  check_bool "trace suppressed" true (r.Interp.block_trace = [])
+  check_bool "trace suppressed" true (r.Interp.block_trace = [||])
 
 (* ---------- Trace ---------- *)
 
@@ -435,6 +444,38 @@ let test_trace_successive () =
   check_bool "acc(2)" true (abs_float (a2 -. (8. /. 9.)) < 1e-9);
   check_bool "monotone decreasing" true
     (Trace.successive_accuracy t 4 <= a2 +. 1e-9)
+
+(* A fatal fault in a branch block's body ends the trace at a branch that
+   never resolves: it counts as an execution but not as a dynamic branch
+   or an edge. *)
+let test_trace_fatal_at_branch () =
+  let p =
+    Program.make ~entry:(lbl "head")
+      [
+        Program.block (lbl "head")
+          [
+            Instr.Alu
+              { op = Opcode.Sub; dst = reg 1; a = Operand.reg (reg 1); b = Operand.imm 1 };
+            Instr.Alu
+              { op = Opcode.Div; dst = reg 2; a = Operand.imm 100; b = Operand.reg (reg 1) };
+          ]
+          (Instr.Br { src = reg 1; if_true = lbl "head"; if_false = lbl "done" });
+        Program.block (lbl "done") [] Instr.Halt;
+      ]
+  in
+  let r = Interp.run ~regs:[ (reg 1, 3) ] ~mem:(Memory.create ~size:16) p in
+  check_bool "fatal" true
+    (match r.Interp.outcome with Interp.Fatal _ -> true | _ -> false);
+  let head = Hashtbl.find (Program.block_index p) (lbl "head") in
+  Alcotest.(check (array int)) "index trace" [| head; head; head |]
+    r.Interp.block_trace;
+  let t = Trace.of_result p r in
+  check_int "head count" 3 (Trace.block_count t (lbl "head"));
+  check_int "dyn branches" 2 (Trace.dynamic_branches t);
+  check_int "edge head->head" 2 (Trace.edge_count t ~src:(lbl "head") ~dst:(lbl "head"));
+  check_int "edge head->done" 0 (Trace.edge_count t ~src:(lbl "head") ~dst:(lbl "done"));
+  check_bool "taken fraction" true (Trace.taken_fraction t (lbl "head") = Some 1.0);
+  check_bool "never-run block" true (Trace.taken_fraction t (lbl "done") = None)
 
 let test_program_validation () =
   Alcotest.check_raises "undefined target"
@@ -572,6 +613,8 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_trace_counts;
           Alcotest.test_case "successive accuracy" `Quick test_trace_successive;
+          Alcotest.test_case "fatal fault at a branch" `Quick
+            test_trace_fatal_at_branch;
         ] );
       ( "program",
         [ Alcotest.test_case "validation" `Quick test_program_validation ] );

@@ -9,7 +9,10 @@
    - schedules: the independent validator accepts every model's schedule;
      every operation issues no later than each exit it is compatible with
      (nothing needed on a path is left unissued when the path leaves);
-     predicated exits wait for their own conditions. *)
+     predicated exits wait for their own conditions;
+   - profiles: the dense block-index [Trace] statistics equal a naive
+     recomputation from the run's label sequence, and both interpreter
+     kernels record the same index trace. *)
 
 open Psb_isa
 open Psb_compiler
@@ -283,6 +286,157 @@ let prop_cache_verify_flag_regression =
       in
       k true <> k false)
 
+(* ----- dense profiles vs a naive label-sequence recount ----- *)
+
+(* Every statistic [Trace] offers, recomputed the obvious way from the
+   label sequence: scans and pair counts, no per-block tables. *)
+module Naive = struct
+  let stream program labels =
+    List.filter_map
+      (fun i ->
+        match (Program.find program labels.(i)).Program.term with
+        | Instr.Br { if_true; _ } ->
+            Some (labels.(i), Label.equal labels.(i + 1) if_true)
+        | Instr.Jmp _ | Instr.Halt -> None)
+      (List.init (max 0 (Array.length labels - 1)) Fun.id)
+
+  let block_count labels l =
+    Array.fold_left (fun n b -> if Label.equal b l then n + 1 else n) 0 labels
+
+  let edge_count labels ~src ~dst =
+    let n = ref 0 in
+    for i = 0 to Array.length labels - 2 do
+      if Label.equal labels.(i) src && Label.equal labels.(i + 1) dst then incr n
+    done;
+    !n
+
+  let outcomes stream l =
+    List.filter_map (fun (b, tk) -> if Label.equal b l then Some tk else None)
+      stream
+
+  let taken_fraction stream l =
+    match outcomes stream l with
+    | [] -> None
+    | mine ->
+        Some
+          (float_of_int (List.length (List.filter Fun.id mine))
+          /. float_of_int (List.length mine))
+
+  let predict stream l =
+    let mine = outcomes stream l in
+    let taken = List.length (List.filter Fun.id mine) in
+    taken >= List.length mine - taken
+
+  let correct stream =
+    Array.of_list (List.map (fun (b, tk) -> predict stream b = tk) stream)
+
+  let prediction_accuracy stream =
+    let c = correct stream in
+    if c = [||] then 1.0
+    else
+      float_of_int (Array.fold_left (fun n ok -> if ok then n + 1 else n) 0 c)
+      /. float_of_int (Array.length c)
+
+  (* Every window checked in full — no sliding count. *)
+  let successive_accuracy stream n =
+    let c = correct stream in
+    let len = Array.length c in
+    if len < n then 1.0
+    else begin
+      let good = ref 0 in
+      for start = 0 to len - n do
+        if Array.for_all Fun.id (Array.sub c start n) then incr good
+      done;
+      float_of_int !good /. float_of_int (len - n + 1)
+    end
+end
+
+let bit_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let bit_equal_opt a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> bit_equal x y
+  | Some _, None | None, Some _ -> false
+
+let labels_of_trace program (r : Interp.result) =
+  let labels = Array.of_list (Program.labels program) in
+  Array.map (fun b -> labels.(b)) r.Interp.block_trace
+
+(* The indexed profile of [r] agrees with [Naive] on every label of the
+   program (and one it does not have), every label pair, and every
+   Table 3 window length. *)
+let profile_matches_naive program (r : Interp.result) =
+  let labels = labels_of_trace program r in
+  let stream = Naive.stream program labels in
+  let t = Trace.of_result program r in
+  let queried = Label.make "no-such-block" :: Program.labels program in
+  Trace.dynamic_branches t = List.length stream
+  && List.for_all
+       (fun l ->
+         Trace.block_count t l = Naive.block_count labels l
+         && Trace.predict t l = Naive.predict stream l
+         && bit_equal_opt (Trace.taken_fraction t l)
+              (Naive.taken_fraction stream l)
+         && List.for_all
+              (fun dst ->
+                Trace.edge_count t ~src:l ~dst
+                = Naive.edge_count labels ~src:l ~dst)
+              queried)
+       queried
+  && bit_equal (Trace.prediction_accuracy t) (Naive.prediction_accuracy stream)
+  && List.for_all
+       (fun n ->
+         bit_equal
+           (Trace.successive_accuracy t n)
+           (Naive.successive_accuracy stream n))
+       (List.init 8 (fun i -> i + 1))
+
+(* Both kernels record the same index trace; it starts at the entry,
+   follows CFG edges, and names the blocks [on_block] reports. *)
+let index_traces_agree ?fuel program ~mem_of =
+  let run kernel =
+    let entered = ref [] in
+    let r =
+      Interp.run ?fuel ~kernel
+        ~on_block:(fun _ l -> entered := l :: !entered)
+        ~regs:Gen_programs.regs ~mem:(mem_of ()) program
+    in
+    (r, List.rev !entered)
+  in
+  let dec, dec_entered = run Scalar_kernel.Decoded in
+  let tree, tree_entered = run Scalar_kernel.Tree in
+  let labels = labels_of_trace program dec in
+  let n = Array.length labels in
+  dec.Interp.block_trace = tree.Interp.block_trace
+  && List.equal Label.equal dec_entered tree_entered
+  && List.equal Label.equal dec_entered (Array.to_list labels)
+  && (n = 0 || Label.equal labels.(0) program.Program.entry)
+  && List.for_all
+       (fun i ->
+         List.exists
+           (Label.equal labels.(i + 1))
+           (Program.successors (Program.find program labels.(i))))
+       (List.init (max 0 (n - 1)) Fun.id)
+
+let prop_trace_matches_naive =
+  QCheck.Test.make ~name:"indexed trace = naive label recount" ~count:100
+    Gen_programs.arb_program (fun g ->
+      let program = g.Gen_programs.program in
+      let mem_of () = Gen_programs.make_mem g in
+      let run ?fuel () =
+        Interp.run ?fuel ~regs:Gen_programs.regs ~mem:(mem_of ()) program
+      in
+      (* the full run (which may end in a fatal fault, possibly at a
+         branch) and one cut short by fuel, so the trace can end at any
+         block *)
+      let full = run () in
+      let fuel = full.Interp.dyn_instrs / 2 in
+      profile_matches_naive program full
+      && profile_matches_naive program (run ~fuel ())
+      && index_traces_agree program ~mem_of
+      && index_traces_agree ~fuel program ~mem_of)
+
 let () =
   Alcotest.run "properties"
     [
@@ -310,4 +464,5 @@ let () =
             prop_cache_program_sensitivity;
             prop_cache_verify_flag_regression;
           ] );
+      ("trace", List.map Qc.to_alcotest [ prop_trace_matches_naive ]);
     ]
