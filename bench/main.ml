@@ -186,9 +186,9 @@ module Pred_bench = struct
     let open Bechamel in
     let t name f = Test.make ~name (Staged.stage f) in
     let rf_tick ~mode ~dirty () =
-      ignore (Regfile.tick ~mode ~dirty (Lazy.force rf) (Lazy.force ccr))
+      ignore (Regfile.tick ~mode ~dirty ~record:false (Lazy.force rf) (Lazy.force ccr))
     and sb_tick ~mode ~dirty () =
-      ignore (Store_buffer.tick ~mode ~dirty (Lazy.force sb) (Lazy.force ccr))
+      ignore (Store_buffer.tick ~mode ~dirty ~record:false (Lazy.force sb) (Lazy.force ccr))
     in
     let cp = lazy (Pred.compile (pred 0)) in
     Test.make_grouped ~name:"pred_kernel"
@@ -257,11 +257,11 @@ module Events_bench = struct
     let t name f = Test.make ~name (Staged.stage f) in
     let tick_rf rf () =
       ignore
-        (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:(-1) (Lazy.force rf)
+        (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:(-1) ~record:false (Lazy.force rf)
            (Lazy.force Pred_bench.ccr))
     and tick_sb sb () =
       ignore
-        (Store_buffer.tick ~mode:Pred_kernel.Mask ~dirty:(-1) (Lazy.force sb)
+        (Store_buffer.tick ~mode:Pred_kernel.Mask ~dirty:(-1) ~record:false (Lazy.force sb)
            (Lazy.force Pred_bench.ccr))
     in
     Test.make_grouped ~name:"events"

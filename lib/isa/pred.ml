@@ -145,6 +145,26 @@ let compile p =
 let compiled_always = compile always
 let source cp = cp.c_source
 
+(* Mask forms of {!disjoint}/{!implies}/{!equal}. [c_want] is zero
+   outside [c_mask], so the single-word relations are plain word
+   arithmetic; a wide predicate on either side falls back to the maps. *)
+let disjoint_c p q =
+  match (p.c_wide, q.c_wide) with
+  | None, None -> p.c_mask land q.c_mask land (p.c_want lxor q.c_want) <> 0
+  | _ -> disjoint p.c_source q.c_source
+
+let implies_c p q =
+  match (p.c_wide, q.c_wide) with
+  | None, None ->
+      q.c_mask land p.c_mask = q.c_mask
+      && (p.c_want lxor q.c_want) land q.c_mask = 0
+  | _ -> implies p.c_source q.c_source
+
+let equal_c p q =
+  match (p.c_wide, q.c_wide) with
+  | None, None -> p.c_mask = q.c_mask && p.c_want = q.c_want
+  | _ -> equal p.c_source q.c_source
+
 let compiled_fits ~width cp =
   match cp.c_wide with
   | None ->

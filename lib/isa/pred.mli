@@ -117,6 +117,19 @@ val compiled_always : compiled
 
 val source : compiled -> t
 
+val disjoint_c : compiled -> compiled -> bool
+(** {!disjoint} on compiled predicates: one AND and one XOR of the mask
+    words when both fit one word; otherwise the source maps decide. *)
+
+val implies_c : compiled -> compiled -> bool
+(** {!implies} on compiled predicates: [implies_c p q] iff [q]'s mask is
+    inside [p]'s and they want the same values there (word arithmetic
+    when both fit one word; the source maps otherwise). *)
+
+val equal_c : compiled -> compiled -> bool
+(** {!equal} on compiled predicates: equal mask and want words when both
+    fit one word; the source maps otherwise. *)
+
 val compiled_fits : width:int -> compiled -> bool
 (** Whether every mentioned condition index is [< width] — the mask form
     of the CCR-width check ([mask land ones(width) = mask]). *)

@@ -41,15 +41,13 @@ val set_now : t -> int -> unit
 
 val read_seq : t -> Reg.t -> int
 
-val read : t -> Reg.t -> shadow:bool -> pred:Pred.t -> int
+val read : t -> Reg.t -> shadow:bool -> pred:Pred.compiled -> int
 (** Operand fetch. With [shadow:true] the speculative value is returned if
     valid, falling back to the sequential register otherwise (the §3.5
-    operand-fetch fix). [pred] is the reader's predicate, used in the
-    [Infinite] model to pick the matching speculative version. *)
-
-val read_fault : t -> Reg.t -> shadow:bool -> pred:Pred.t -> Fault.t option
-(** The buffered exception attached to the value {!read} would return, if
-    any (a corrupted operand propagates corruption, sentinel-style). *)
+    operand-fetch fix). [pred] is the reader's compiled predicate: in the
+    [Infinite] model the newest version not disjoint from it
+    ({!Psb_isa.Pred.disjoint_c}, mask arithmetic) is the one read.
+    Allocates nothing. *)
 
 val write_seq : t -> Reg.t -> int -> unit
 
@@ -57,9 +55,11 @@ val write_spec :
   t -> Reg.t -> int -> cpred:Pred.compiled -> fault:Fault.t option ->
   [ `Ok | `Conflict ]
 (** Speculative write: buffer the value with its (compiled) predicate;
-    sets V, and E when [fault] is given. [`Conflict] (single-shadow model
-    only) when a valid speculative value with a different predicate
-    already occupies the entry — the machine must stall the writer. *)
+    sets V, and E when [fault] is given. A version with an equal
+    predicate ({!Psb_isa.Pred.equal_c}) is replaced, keeping its buffered
+    exception. [`Conflict] (single-shadow model only) when a valid
+    speculative value with a different predicate already occupies the
+    entry — the machine must stall the writer. *)
 
 val committing_exceptions :
   t -> (Cond.t -> Pred.cond_value) -> (Reg.t * Fault.t) list
@@ -70,24 +70,32 @@ val committing_exceptions :
     no version carries a fault. *)
 
 val tick :
-  ?mode:Pred_kernel.mode -> ?dirty:int ->
+  mode:Pred_kernel.mode -> dirty:int -> record:bool ->
   t -> Ccr.t -> (Reg.t * [ `Commit | `Squash ]) list
 (** Evaluate every valid speculative entry: true → commit (copy to
-    sequential state, clear V), false → squash (clear V). Returns what
-    happened, in register order, for event tracing. Entries with E must
-    have been intercepted by {!committing_exceptions} first; a committing
-    entry with E set is an internal error.
+    sequential state, clear V), false → squash (clear V). Entries with E
+    must have been intercepted by {!committing_exceptions} first; a
+    committing entry with E set is an internal error.
+
+    With [record] the result lists what happened, in register order, for
+    event tracing; without it the result is [[]] and a single-shadow tick
+    allocates nothing. The arguments are not optional because the
+    machine calls this every cycle, and an optional argument given a
+    value allocates its [Some].
 
     [dirty] is the word-0 bitmask of conditions written since the last
-    tick (default [-1]: everything dirty). Under the [Mask] kernel a
-    version whose mask does not intersect [dirty] is still [Unspec] —
-    it was Unspec when buffered or last examined and none of its
-    conditions changed — and is skipped without evaluation. Callers that
-    wrote a condition at index [>= Pred.word_bits], or replaced the CCR
-    wholesale, must pass [-1]. The [Map] kernel examines everything. *)
+    tick ([-1]: everything dirty). Under the [Mask] kernel a version
+    whose mask does not intersect [dirty] is still [Unspec] — it was
+    Unspec when buffered or last examined and none of its conditions
+    changed — and is skipped without evaluation; with [dirty = 0] and no
+    multi-word predicate buffered, the whole tick is O(1) (every version
+    counts as skipped). Callers that wrote a condition at index
+    [>= Pred.word_bits], or replaced the CCR wholesale, must pass [-1].
+    The [Map] kernel examines everything. *)
 
 val invalidate_spec : t -> unit
-(** Clear all speculative state (on exception detection and region exit). *)
+(** Clear all speculative state (on exception detection and region exit).
+    O(1) when nothing is buffered. *)
 
 val has_spec : t -> bool
 val conflicts : t -> int

@@ -33,19 +33,25 @@ val append :
   fault:Fault.t option -> unit
 
 val tick :
-  ?mode:Pred_kernel.mode -> ?dirty:int ->
+  mode:Pred_kernel.mode -> dirty:int -> record:bool ->
   t -> Ccr.t -> (int * [ `Commit | `Squash ]) list
-(** Evaluate speculative entries' predicates; commit or squash. Returns
-    the affected addresses, in buffer order, for event tracing.
+(** Evaluate speculative entries' predicates; commit or squash. With
+    [record] the result lists the affected addresses, in buffer order,
+    for event tracing; without it the result is [[]] and the tick
+    allocates nothing. The arguments are not optional because the
+    machine calls this every cycle, and an optional argument given a
+    value allocates its [Some].
 
     [dirty] is the word-0 bitmask of conditions written since the last
-    tick (default [-1]: everything dirty); under the [Mask] kernel an
-    entry already examined once whose mask does not intersect [dirty] is
-    still [Unspec] and is skipped without evaluation. A fresh entry is
-    always examined on its first tick — unlike register versions, a store
-    may be appended with an already-decided predicate. Callers that wrote
-    a condition at index [>= Pred.word_bits], or replaced the CCR
-    wholesale, must pass [-1]. The [Map] kernel examines everything. *)
+    tick ([-1]: everything dirty); under the [Mask] kernel an entry
+    already examined once whose mask does not intersect [dirty] is still
+    [Unspec] and is skipped without evaluation. A fresh entry is always
+    examined on its first tick — unlike register versions, a store may
+    be appended with an already-decided predicate. With [dirty = 0] and
+    every live entry examined and single-word, the whole tick is O(1)
+    (every entry counts as skipped). Callers that wrote a condition at
+    index [>= Pred.word_bits], or replaced the CCR wholesale, must pass
+    [-1]. The [Map] kernel examines everything. *)
 
 val committing_exceptions :
   t -> (Cond.t -> Pred.cond_value) -> Fault.t list
@@ -65,20 +71,31 @@ val drain_all : t -> Memory.t -> unit
 (** Drain every non-speculative entry (used when the machine halts).
     @raise Invalid_argument if speculative entries remain. *)
 
+type forward = Hit | Miss | Commit_dependence
+
 val forward :
-  ?mode:Pred_kernel.mode ->
-  t -> addr:int -> load_pred:Pred.t -> Ccr.t ->
-  [ `Hit of int * Fault.t option | `Miss | `Commit_dependence ]
+  mode:Pred_kernel.mode ->
+  t -> addr:int -> load_pred:Pred.compiled -> Ccr.t -> forward
 (** Store-to-load forwarding. Searches youngest → oldest among valid
     entries with the same address: entries on mutually exclusive paths
-    (disjoint predicates) or already-squashed entries are skipped; an entry
-    the load is control-dependent on (its predicate implied by the load's,
-    or already true) forwards its value. An unresolved entry that may or
-    may not be on the load's path is a {e commit dependence}
-    (§4.2.2) — the scheduler must have prevented it, so the machine
-    reports it as an error. *)
+    ({!Psb_isa.Pred.disjoint_c} predicates) or already-squashed entries
+    are skipped; an entry the load is control-dependent on (its predicate
+    implied by the load's, {!Psb_isa.Pred.implies_c}, or already true)
+    forwards its value: [Hit], with the value and buffered exception in
+    {!hit_value}/{!hit_fault}. An unresolved entry that may or may not be
+    on the load's path is a {e commit dependence} (§4.2.2) — the
+    scheduler must have prevented it, so the machine reports it as an
+    error. Allocates nothing. *)
+
+val hit_value : t -> int
+val hit_fault : t -> Fault.t option
+(** The value and buffered exception (E) of the entry the last [Hit]
+    forwarded from. *)
 
 val invalidate_spec : t -> unit
+(** Squash every speculative entry and compact the squashed ones away
+    (exception detection, region exit); allocates nothing. *)
+
 val has_spec : t -> bool
 
 val length : t -> int

@@ -108,29 +108,118 @@ exception Machine_error of string
 
 let machine_error fmt = Format.kasprintf (fun s -> raise (Machine_error s)) fmt
 
-(* Writebacks in flight. [load_addr] lets a buffered load exception be
-   re-executed when it turns out to be committed and recoverable. *)
-type wb =
-  | Wreg of {
-      dst : Reg.t;
-      value : int;
-      cpred : Pred.compiled;
-      fault : Fault.t option;
-      decided_seq : bool;
-      load_addr : int option;
-      shadow_srcs : Reg.Set.t;
-    }
-  | Wcond of { dst : Cond.t; value : bool }
-  | Wstore of {
-      addr : int;
-      value : int;
-      cpred : Pred.compiled;
-      spec : bool;
-      fault : Fault.t option;
-    }
-  | Wout of int
+(* ----- writeback queue -----
 
-type pending = { due : int; order : int; action : wb }
+   Results in flight live in a slot pool laid out as structure-of-arrays:
+   a slot is taken at issue, written once, and freed when its writeback
+   applies; it never moves in between. [live] lists the taken slots in no
+   particular order. Each cycle the due ones are gathered into [ready],
+   insertion-sorted by (due cycle, issue order) — the order writebacks
+   apply in. The pool doubles when full, which is rare: results in flight
+   are bounded by issue width × latency. *)
+
+type wb_kind = Wout | Wcond | Wstore | Wreg
+
+type wbq = {
+  mutable kind : wb_kind array;
+  mutable due : int array;
+  mutable order : int array; (* issue order, unique *)
+  mutable dst : int array; (* register, condition or store address *)
+  mutable value : int array; (* a condition's value as 0/1 *)
+  mutable spec : bool array;
+      (* speculative store, or register write still to be decided *)
+  mutable load_addr : int array;
+      (* a faulting load's address, re-executed if its buffered exception
+         turns out committed and recoverable *)
+  mutable cpred : Pred.compiled array;
+  mutable fault : Fault.t option array;
+  mutable free : int array; (* stack of free slots *)
+  mutable nfree : int;
+  mutable live : int array;
+  mutable nlive : int;
+  mutable ready : int array;
+  mutable next_order : int;
+  (* The condition writes applied this cycle, oldest first. *)
+  mutable cw_cond : int array;
+  mutable cw_value : bool array;
+  mutable ncw : int;
+}
+
+let wbq_create cap =
+  {
+    kind = Array.make cap Wout;
+    due = Array.make cap 0;
+    order = Array.make cap 0;
+    dst = Array.make cap 0;
+    value = Array.make cap 0;
+    spec = Array.make cap false;
+    load_addr = Array.make cap 0;
+    cpred = Array.make cap Pred.compiled_always;
+    fault = Array.make cap None;
+    free = Array.init cap (fun i -> cap - 1 - i);
+    nfree = cap;
+    live = Array.make cap 0;
+    nlive = 0;
+    ready = Array.make cap 0;
+    next_order = 0;
+    cw_cond = Array.make cap 0;
+    cw_value = Array.make cap false;
+    ncw = 0;
+  }
+
+let wbq_grow q =
+  let cap = Array.length q.due in
+  let ext a fill = Array.append a (Array.make cap fill) in
+  q.kind <- ext q.kind Wout;
+  q.due <- ext q.due 0;
+  q.order <- ext q.order 0;
+  q.dst <- ext q.dst 0;
+  q.value <- ext q.value 0;
+  q.spec <- ext q.spec false;
+  q.load_addr <- ext q.load_addr 0;
+  q.cpred <- ext q.cpred Pred.compiled_always;
+  q.fault <- ext q.fault None;
+  q.free <- Array.init (2 * cap) (fun i -> (2 * cap) - 1 - i);
+  q.nfree <- cap;
+  q.live <- ext q.live 0;
+  q.ready <- ext q.ready 0;
+  q.cw_cond <- ext q.cw_cond 0;
+  q.cw_value <- ext q.cw_value false
+
+(* [cpred] and [fault] are written only where needed and [None] only over
+   [Some]: most slots never pay the write barrier. *)
+let wbq_release q s =
+  if q.fault.(s) <> None then q.fault.(s) <- None;
+  q.free.(q.nfree) <- s;
+  q.nfree <- q.nfree + 1
+
+let wbq_requeue q s =
+  q.live.(q.nlive) <- s;
+  q.nlive <- q.nlive + 1
+
+let wb_before q a b =
+  q.due.(a) < q.due.(b) || (q.due.(a) = q.due.(b) && q.order.(a) < q.order.(b))
+
+(* Move the slots due by [now] (every slot with [all]) from [live] into
+   [ready], sorted; returns how many. *)
+let wbq_gather q ~now ~all =
+  let n = ref 0 and i = ref 0 in
+  while !i < q.nlive do
+    let s = q.live.(!i) in
+    if all || q.due.(s) <= now then begin
+      let j = ref !n in
+      while !j > 0 && wb_before q s q.ready.(!j - 1) do
+        q.ready.(!j) <- q.ready.(!j - 1);
+        decr j
+      done;
+      q.ready.(!j) <- s;
+      incr n;
+      q.nlive <- q.nlive - 1;
+      q.live.(!i) <- q.live.(q.nlive)
+    end
+    else incr i
+  done;
+  !n
 
 type mode = Normal | Recovery of { future : Ccr.t; epc : int }
 
@@ -176,8 +265,15 @@ type state = {
   mutable region : Pcode.region;
   mutable pc : int;
   mutable now : int;
-  mutable pending : pending list;
-  mutable next_order : int;
+  wbq : wbq;
+  (* A fault raised by the value computation in progress: [Some] only
+     from the faulting access until the issue path takes it (and [None]
+     is never rewritten, sparing the write barrier). [xfwd]: the faulting
+     load's value came from a store-buffer entry, whose buffered
+     exception the fault is; [xaddr]: the last load's address. *)
+  mutable xfault : Fault.t option;
+  mutable xfwd : bool;
+  mutable xaddr : int;
   mutable dirty : int;
       (* word-0 bitmask of conditions written since the last commit/squash
          tick; -1 after any wholesale CCR change (assign, reset) or a
@@ -244,8 +340,8 @@ let eval_cpred st ccr cp =
   | Pred_kernel.Mask -> Ccr.evalc ccr cp
   | Pred_kernel.Map -> Ccr.eval ccr (Pred.source cp)
 
-let note_cond_write st c =
-  let i = Cond.index c in
+let note_cond_write st (c : Cond.t) =
+  let i = (c :> int) in
   st.dirty <-
     (if i >= Pred.word_bits then -1 else st.dirty lor (1 lsl i))
 
@@ -264,9 +360,59 @@ let note_sb_occupancy st =
     end
   end
 
-let schedule st ~latency action =
-  st.pending <- { due = st.now + latency; order = st.next_order; action } :: st.pending;
-  st.next_order <- st.next_order + 1
+let take_slot st ~latency kind =
+  let q = st.wbq in
+  if q.nfree = 0 then wbq_grow q;
+  q.nfree <- q.nfree - 1;
+  let s = q.free.(q.nfree) in
+  q.kind.(s) <- kind;
+  q.due.(s) <- st.now + latency;
+  q.order.(s) <- q.next_order;
+  q.next_order <- q.next_order + 1;
+  wbq_requeue q s;
+  s
+
+let schedule_out st ~latency v =
+  let s = take_slot st ~latency Wout in
+  st.wbq.value.(s) <- v
+
+let schedule_cond st ~latency (c : Cond.t) v =
+  let s = take_slot st ~latency Wcond in
+  st.wbq.dst.(s) <- (c :> int);
+  st.wbq.value.(s) <- (if v then 1 else 0)
+
+let set_cpred q s cpred = if q.cpred.(s) != cpred then q.cpred.(s) <- cpred
+let set_fault q s fault = if fault <> None then q.fault.(s) <- fault
+
+let schedule_store st ~latency ~addr ~value ~cpred ~spec ~fault =
+  let q = st.wbq in
+  let s = take_slot st ~latency Wstore in
+  q.dst.(s) <- addr;
+  q.value.(s) <- value;
+  set_cpred q s cpred;
+  q.spec.(s) <- spec;
+  set_fault q s fault
+
+(* A register write: sequential (the predicate was true at issue), or
+   speculative — decided at writeback by [cpred], carrying a buffered
+   [fault] and, for a faulting load, its address ([st.xaddr]) to
+   re-execute. *)
+let schedule_reg_seq st ~latency ~(dst : Reg.t) ~value =
+  let q = st.wbq in
+  let s = take_slot st ~latency Wreg in
+  q.dst.(s) <- (dst :> int);
+  q.value.(s) <- value;
+  q.spec.(s) <- false
+
+let schedule_reg_spec st ~latency ~(dst : Reg.t) ~value ~cpred ~fault =
+  let q = st.wbq in
+  let s = take_slot st ~latency Wreg in
+  q.dst.(s) <- (dst :> int);
+  q.value.(s) <- value;
+  q.spec.(s) <- true;
+  set_cpred q s cpred;
+  set_fault q s fault;
+  q.load_addr.(s) <- st.xaddr
 
 let handle_or_abort st fault =
   if Fault.recoverable fault then begin
@@ -282,29 +428,117 @@ let handle_or_abort st fault =
   end
 
 (* A load access: store-buffer forwarding first, then the D-cache.
-   Returns the value, or the fault if the access faults. *)
+   Returns the value (0 if the D-cache access faults); a faulting access
+   leaves its fault in [st.xfault]. *)
 let load_access st ~addr ~load_pred =
+  st.xaddr <- addr;
   match
     Store_buffer.forward ~mode:st.pred_kernel st.sb ~addr ~load_pred st.ccr
   with
-  | `Hit (v, None) -> Ok v
-  | `Hit (v, Some f) -> Error (f, Some v)
-  | `Commit_dependence ->
+  | Store_buffer.Hit ->
+      (match Store_buffer.hit_fault st.sb with
+      | None -> ()
+      | Some _ as f ->
+          st.xfault <- f;
+          st.xfwd <- true);
+      Store_buffer.hit_value st.sb
+  | Store_buffer.Commit_dependence ->
       machine_error "commit-dependence violation: load at %d hits an unresolved speculative store" addr
-  | `Miss -> (
+  | Store_buffer.Miss -> (
       match Memory.read st.mem addr with
-      | v -> Ok v
-      | exception Memory.Fault f -> Error (Fault.Mem f, None))
+      | v -> v
+      | exception Memory.Fault f ->
+          st.xfault <- Some (Fault.Mem f);
+          st.xfwd <- false;
+          0)
+
+let take_fault st =
+  match st.xfault with
+  | None -> None
+  | Some _ as f ->
+      st.xfault <- None;
+      f
 
 (* Non-speculative load: faults are handled on the spot (or abort). *)
 let rec load_nonspec st ~addr ~load_pred =
-  match load_access st ~addr ~load_pred with
-  | Ok v -> v
-  | Error (f, forwarded) -> (
+  let v = load_access st ~addr ~load_pred in
+  match take_fault st with
+  | None -> v
+  | Some f ->
+      let forwarded = st.xfwd in
       handle_or_abort st f;
-      match forwarded with
-      | Some v -> v (* the forwarded store's page is mapped now *)
-      | None -> load_nonspec st ~addr ~load_pred)
+      if forwarded then v (* the forwarded store's page is mapped now *)
+      else load_nonspec st ~addr ~load_pred
+
+let alu st op a b =
+  match Opcode.eval_alu op a b with
+  | v -> v
+  | exception Opcode.Arithmetic_fault m ->
+      st.xfault <- Some (Fault.Arith m);
+      0
+
+(* The value of a non-speculative operation whose computation left
+   [st.xfault]: the fault is handled on the spot, or aborts (always, for
+   an arithmetic fault under a true predicate); a load then completes
+   with its forwarded value, or re-reads the now-mapped page. *)
+let nonspec_value st ~pred v =
+  match take_fault st with
+  | None -> v
+  | Some (Fault.Arith _ as f) ->
+      handle_or_abort st f;
+      assert false
+  | Some (Fault.Mem _ as f) ->
+      let forwarded = st.xfwd and addr = st.xaddr in
+      handle_or_abort st f;
+      if forwarded then v else load_nonspec st ~addr ~load_pred:pred
+
+let future_value st cpred =
+  match st.mode with
+  | Normal -> Pred.Unspec
+  | Recovery { future; _ } -> eval_cpred st future cpred
+
+(* The value of a speculative operation whose computation left
+   [st.xfault]. In recovery mode the future condition decides the fault:
+   true → handled now, false → ignored, unspecified → buffered again
+   (always buffered in normal mode). Leaves the fault to buffer in
+   [st.xfault]. *)
+let spec_value st ~pred v =
+  match st.xfault with
+  | None -> v
+  | Some f -> (
+      match future_value st pred with
+      | Pred.Unspec ->
+          eev st Psb_obs.Events.Fault_deferred
+            ~a:(match f with Fault.Mem _ -> st.xaddr | Fault.Arith _ -> -1)
+            ~b:0;
+          0
+      | Pred.False ->
+          st.xfault <- None;
+          0 (* ignored: the result squashes under the future *)
+      | Pred.True -> (
+          let forwarded = st.xfwd and addr = st.xaddr in
+          st.xfault <- None;
+          handle_or_abort st f;
+          match f with
+          | Fault.Arith _ -> 0
+          | Fault.Mem _ ->
+              if forwarded then v else load_nonspec st ~addr ~load_pred:pred))
+
+(* A speculative store's fault is found by probing at issue; the future
+   condition decides it in recovery mode, as in [spec_value]. *)
+let spec_store_fault st ~pred addr =
+  match Memory.probe st.mem addr with
+  | None -> None
+  | Some f -> (
+      let f = Fault.Mem f in
+      match future_value st pred with
+      | Pred.Unspec ->
+          eev st Psb_obs.Events.Fault_deferred ~a:addr ~b:0;
+          Some f
+      | Pred.False -> None
+      | Pred.True ->
+          handle_or_abort st f;
+          None)
 
 let read_reg st ~shadow_srcs ~pred r =
   Regfile.read st.rf r ~shadow:(Reg.Set.mem r shadow_srcs) ~pred
@@ -313,23 +547,22 @@ let read_operand st ~shadow_srcs ~pred = function
   | Operand.Reg r -> read_reg st ~shadow_srcs ~pred r
   | Operand.Imm i -> i
 
-(* Compute an ALU/Mov/Setc-style value; faults become [Error]. *)
+(* Compute an ALU/Mov/Cmp/Load value; a fault is left in [st.xfault]. *)
 let compute st ~shadow_srcs ~pred (op : Instr.op) =
-  let rd = read_reg st ~shadow_srcs ~pred in
-  let rop = read_operand st ~shadow_srcs ~pred in
   match op with
-  | Instr.Alu { op; a; b; _ } -> (
-      match Opcode.eval_alu op (rop a) (rop b) with
-      | v -> Ok v
-      | exception Opcode.Arithmetic_fault m -> Error (Fault.Arith m, None))
-  | Instr.Mov { src; _ } -> Ok (rop src)
-  | Instr.Load { base; off; _ } -> (
-      let addr = rd base + off in
-      match load_access st ~addr ~load_pred:pred with
-      | Ok v -> Ok v
-      | Error (f, fw) -> Error (f, Some (addr, fw)))
+  | Instr.Alu { op; a; b; _ } ->
+      let a = read_operand st ~shadow_srcs ~pred a in
+      let b = read_operand st ~shadow_srcs ~pred b in
+      alu st op a b
+  | Instr.Mov { src; _ } -> read_operand st ~shadow_srcs ~pred src
+  | Instr.Load { base; off; _ } ->
+      load_access st
+        ~addr:(read_reg st ~shadow_srcs ~pred base + off)
+        ~load_pred:pred
   | Instr.Cmp { op; a; b; _ } ->
-      Ok (if Opcode.eval_cmp op (rop a) (rop b) then 1 else 0)
+      let a = read_operand st ~shadow_srcs ~pred a in
+      let b = read_operand st ~shadow_srcs ~pred b in
+      if Opcode.eval_cmp op a b then 1 else 0
   | Instr.Store _ | Instr.Setc _ | Instr.Out _ | Instr.Nop ->
       assert false (* handled by the callers *)
 
@@ -340,80 +573,32 @@ let dest_of (op : Instr.op) =
    non-speculatively. *)
 let issue_nonspec st (pi : Pcode.pinstr) =
   let latency = Machine_model.latency st.model pi.op in
-  let shadow_srcs = pi.shadow_srcs and pred = pi.pred in
+  let shadow_srcs = pi.shadow_srcs and pred = pi.cpred in
   match pi.op with
   | Instr.Nop -> ()
   | Instr.Out o ->
-      schedule st ~latency (Wout (read_operand st ~shadow_srcs ~pred o))
+      schedule_out st ~latency (read_operand st ~shadow_srcs ~pred o)
   | Instr.Setc { dst; op; a; b } ->
-      let v =
-        Opcode.eval_cmp op
-          (read_operand st ~shadow_srcs ~pred a)
-          (read_operand st ~shadow_srcs ~pred b)
-      in
-      schedule st ~latency (Wcond { dst; value = v })
+      let a = read_operand st ~shadow_srcs ~pred a in
+      let b = read_operand st ~shadow_srcs ~pred b in
+      schedule_cond st ~latency dst (Opcode.eval_cmp op a b)
   | Instr.Store { src; base; off } ->
       let addr = read_reg st ~shadow_srcs ~pred base + off in
       let value = read_reg st ~shadow_srcs ~pred src in
-      schedule st ~latency
-        (Wstore { addr; value; cpred = pi.cpred; spec = false; fault = None })
+      schedule_store st ~latency ~addr ~value ~cpred:pred ~spec:false
+        ~fault:None
   | Instr.Alu _ | Instr.Mov _ | Instr.Cmp _ | Instr.Load _ ->
       let value =
-        match compute st ~shadow_srcs ~pred pi.op with
-        | Ok v -> v
-        | Error (f, Some (addr, forwarded)) -> (
-            handle_or_abort st f;
-            match forwarded with
-            | Some v -> v
-            | None -> load_nonspec st ~addr ~load_pred:pred)
-        | Error (f, None) ->
-            (* Arithmetic fault with a true predicate: fatal. *)
-            handle_or_abort st f;
-            assert false
+        nonspec_value st ~pred (compute st ~shadow_srcs ~pred pi.op)
       in
-      schedule st ~latency
-        (Wreg
-           {
-             dst = dest_of pi.op;
-             value;
-             cpred = pi.cpred;
-             fault = None;
-             decided_seq = true;
-             load_addr = None;
-             shadow_srcs;
-           })
+      schedule_reg_seq st ~latency ~dst:(dest_of pi.op) ~value
 
 (* Issue one operation slot whose predicate is unspecified: execute
-   speculatively. In recovery mode a fault consults the future condition:
-   true → handled now, false → ignored, unspecified → buffered again. *)
+   speculatively. *)
 let issue_spec st (pi : Pcode.pinstr) =
   st.spec_ops <- st.spec_ops + 1;
   let latency = Machine_model.latency st.model pi.op in
-  let shadow_srcs = pi.shadow_srcs and pred = pi.pred in
-  let future_value () =
-    match st.mode with
-    | Normal -> Pred.Unspec
-    | Recovery { future; _ } -> eval_cpred st future pi.cpred
-  in
-  let resolve_fault f ~addr_info =
-    (* Decide what to do with a speculative fault. Returns
-       (value, buffered fault). *)
-    match future_value () with
-    | Pred.Unspec ->
-        eev st Psb_obs.Events.Fault_deferred
-          ~a:(match addr_info with Some (addr, _) -> addr | None -> -1)
-          ~b:0;
-        (0, Some f)
-    | Pred.False -> (0, None) (* ignored: result squashes under the future *)
-    | Pred.True -> (
-        handle_or_abort st f;
-        match addr_info with
-        | None -> (0, None)
-        | Some (addr, forwarded) -> (
-            match forwarded with
-            | Some v -> (v, None)
-            | None -> (load_nonspec st ~addr ~load_pred:pred, None)))
-  in
+  let shadow_srcs = pi.shadow_srcs and pred = pi.cpred in
   match pi.op with
   | Instr.Nop -> ()
   | Instr.Out _ ->
@@ -423,44 +608,12 @@ let issue_spec st (pi : Pcode.pinstr) =
   | Instr.Store { src; base; off } ->
       let addr = read_reg st ~shadow_srcs ~pred base + off in
       let value = read_reg st ~shadow_srcs ~pred src in
-      let fault = Option.map (fun f -> Fault.Mem f) (Memory.probe st.mem addr) in
-      let fault =
-        match fault with
-        | None -> None
-        | Some f -> (
-            match future_value () with
-            | Pred.Unspec ->
-                eev st Psb_obs.Events.Fault_deferred ~a:addr ~b:0;
-                Some f
-            | Pred.False -> None
-            | Pred.True ->
-                handle_or_abort st f;
-                None)
-      in
-      schedule st ~latency
-        (Wstore { addr; value; cpred = pi.cpred; spec = true; fault })
+      schedule_store st ~latency ~addr ~value ~cpred:pred ~spec:true
+        ~fault:(spec_store_fault st ~pred addr)
   | Instr.Alu _ | Instr.Mov _ | Instr.Cmp _ | Instr.Load _ ->
-      let value, fault, load_addr =
-        match compute st ~shadow_srcs ~pred pi.op with
-        | Ok v -> (v, None, None)
-        | Error (f, (Some (addr, _) as ai)) ->
-            let v, bf = resolve_fault f ~addr_info:ai in
-            (v, bf, Some addr)
-        | Error (f, None) ->
-            let v, bf = resolve_fault f ~addr_info:None in
-            (v, bf, None)
-      in
-      schedule st ~latency
-        (Wreg
-           {
-             dst = dest_of pi.op;
-             value;
-             cpred = pi.cpred;
-             fault;
-             decided_seq = false;
-             load_addr;
-             shadow_srcs;
-           })
+      let value = spec_value st ~pred (compute st ~shadow_srcs ~pred pi.op) in
+      schedule_reg_spec st ~latency ~dst:(dest_of pi.op) ~value ~cpred:pred
+        ~fault:(take_fault st)
 
 (* ----- lowered issue path -----
 
@@ -486,101 +639,46 @@ let low_s2 st (lr : Lowered.region) i ~pred =
 (* [compute] over the lowered form (value-producing kinds only). *)
 let compute_low st (lr : Lowered.region) i ~pred =
   match lr.Lowered.op_kind.(i) with
-  | Lowered.Kalu -> (
+  | Lowered.Kalu ->
       let a = low_s1 st lr i ~pred in
       let b = low_s2 st lr i ~pred in
-      match Opcode.eval_alu lr.Lowered.op_alu.(i) a b with
-      | v -> Ok v
-      | exception Opcode.Arithmetic_fault m -> Error (Fault.Arith m, None))
-  | Lowered.Kmov -> Ok (low_s1 st lr i ~pred)
-  | Lowered.Kload -> (
-      let addr = low_s1 st lr i ~pred + lr.Lowered.op_aux.(i) in
-      match load_access st ~addr ~load_pred:pred with
-      | Ok v -> Ok v
-      | Error (f, fw) -> Error (f, Some (addr, fw)))
+      alu st lr.Lowered.op_alu.(i) a b
+  | Lowered.Kmov -> low_s1 st lr i ~pred
+  | Lowered.Kload ->
+      load_access st
+        ~addr:(low_s1 st lr i ~pred + lr.Lowered.op_aux.(i))
+        ~load_pred:pred
   | Lowered.Kcmp ->
       let a = low_s1 st lr i ~pred in
       let b = low_s2 st lr i ~pred in
-      Ok (if Opcode.eval_cmp lr.Lowered.op_cmp.(i) a b then 1 else 0)
+      if Opcode.eval_cmp lr.Lowered.op_cmp.(i) a b then 1 else 0
   | Lowered.Knop | Lowered.Kout | Lowered.Ksetc | Lowered.Kstore ->
       assert false (* handled by the callers *)
 
 let issue_nonspec_low st (lr : Lowered.region) i =
   let latency = lr.Lowered.op_lat.(i) in
-  let pred = lr.Lowered.op_pred.(i) in
+  let pred = lr.Lowered.op_cpred.(i) in
   match lr.Lowered.op_kind.(i) with
   | Lowered.Knop -> ()
-  | Lowered.Kout -> schedule st ~latency (Wout (low_s1 st lr i ~pred))
+  | Lowered.Kout -> schedule_out st ~latency (low_s1 st lr i ~pred)
   | Lowered.Ksetc ->
       let a = low_s1 st lr i ~pred in
       let b = low_s2 st lr i ~pred in
-      let v = Opcode.eval_cmp lr.Lowered.op_cmp.(i) a b in
-      schedule st ~latency (Wcond { dst = lr.Lowered.op_aux.(i); value = v })
+      schedule_cond st ~latency lr.Lowered.op_aux.(i)
+        (Opcode.eval_cmp lr.Lowered.op_cmp.(i) a b)
   | Lowered.Kstore ->
       let addr = low_s1 st lr i ~pred + lr.Lowered.op_aux.(i) in
       let value = low_s2 st lr i ~pred in
-      schedule st ~latency
-        (Wstore
-           {
-             addr;
-             value;
-             cpred = lr.Lowered.op_cpred.(i);
-             spec = false;
-             fault = None;
-           })
+      schedule_store st ~latency ~addr ~value ~cpred:pred ~spec:false
+        ~fault:None
   | Lowered.Kalu | Lowered.Kmov | Lowered.Kcmp | Lowered.Kload ->
-      let value =
-        match compute_low st lr i ~pred with
-        | Ok v -> v
-        | Error (f, Some (addr, forwarded)) -> (
-            handle_or_abort st f;
-            match forwarded with
-            | Some v -> v
-            | None -> load_nonspec st ~addr ~load_pred:pred)
-        | Error (f, None) ->
-            (* Arithmetic fault with a true predicate: fatal. *)
-            handle_or_abort st f;
-            assert false
-      in
-      schedule st ~latency
-        (Wreg
-           {
-             dst = lr.Lowered.op_dst.(i);
-             value;
-             cpred = lr.Lowered.op_cpred.(i);
-             fault = None;
-             decided_seq = true;
-             load_addr = None;
-             shadow_srcs = lr.Lowered.op_src.(i).Pcode.shadow_srcs;
-           })
+      let value = nonspec_value st ~pred (compute_low st lr i ~pred) in
+      schedule_reg_seq st ~latency ~dst:lr.Lowered.op_dst.(i) ~value
 
 let issue_spec_low st (lr : Lowered.region) i =
   st.spec_ops <- st.spec_ops + 1;
   let latency = lr.Lowered.op_lat.(i) in
-  let pred = lr.Lowered.op_pred.(i) in
-  let cpred = lr.Lowered.op_cpred.(i) in
-  let future_value () =
-    match st.mode with
-    | Normal -> Pred.Unspec
-    | Recovery { future; _ } -> eval_cpred st future cpred
-  in
-  let resolve_fault f ~addr_info =
-    match future_value () with
-    | Pred.Unspec ->
-        eev st Psb_obs.Events.Fault_deferred
-          ~a:(match addr_info with Some (addr, _) -> addr | None -> -1)
-          ~b:0;
-        (0, Some f)
-    | Pred.False -> (0, None)
-    | Pred.True -> (
-        handle_or_abort st f;
-        match addr_info with
-        | None -> (0, None)
-        | Some (addr, forwarded) -> (
-            match forwarded with
-            | Some v -> (v, None)
-            | None -> (load_nonspec st ~addr ~load_pred:pred, None)))
-  in
+  let pred = lr.Lowered.op_cpred.(i) in
   match lr.Lowered.op_kind.(i) with
   | Lowered.Knop -> ()
   | Lowered.Kout ->
@@ -590,139 +688,109 @@ let issue_spec_low st (lr : Lowered.region) i =
   | Lowered.Kstore ->
       let addr = low_s1 st lr i ~pred + lr.Lowered.op_aux.(i) in
       let value = low_s2 st lr i ~pred in
-      let fault = Option.map (fun f -> Fault.Mem f) (Memory.probe st.mem addr) in
-      let fault =
-        match fault with
-        | None -> None
-        | Some f -> (
-            match future_value () with
-            | Pred.Unspec ->
-                eev st Psb_obs.Events.Fault_deferred ~a:addr ~b:0;
-                Some f
-            | Pred.False -> None
-            | Pred.True ->
-                handle_or_abort st f;
-                None)
-      in
-      schedule st ~latency (Wstore { addr; value; cpred; spec = true; fault })
+      schedule_store st ~latency ~addr ~value ~cpred:pred ~spec:true
+        ~fault:(spec_store_fault st ~pred addr)
   | Lowered.Kalu | Lowered.Kmov | Lowered.Kcmp | Lowered.Kload ->
-      let value, fault, load_addr =
-        match compute_low st lr i ~pred with
-        | Ok v -> (v, None, None)
-        | Error (f, (Some (addr, _) as ai)) ->
-            let v, bf = resolve_fault f ~addr_info:ai in
-            (v, bf, Some addr)
-        | Error (f, None) ->
-            let v, bf = resolve_fault f ~addr_info:None in
-            (v, bf, None)
-      in
-      schedule st ~latency
-        (Wreg
-           {
-             dst = lr.Lowered.op_dst.(i);
-             value;
-             cpred;
-             fault;
-             decided_seq = false;
-             load_addr;
-             shadow_srcs = lr.Lowered.op_src.(i).Pcode.shadow_srcs;
-           })
+      let value = spec_value st ~pred (compute_low st lr i ~pred) in
+      schedule_reg_spec st ~latency ~dst:lr.Lowered.op_dst.(i) ~value ~cpred:pred
+        ~fault:(take_fault st)
 
-(* Apply one due writeback. Returns [`Conflict] when a speculative register
-   write hits an occupied shadow entry (single-shadow model): the caller
-   requeues it and stalls issue. *)
-let apply_wb st action ~cond_writes =
-  match action with
-  | Wout v ->
-      st.output_rev <- v :: st.output_rev;
-      `Ok
-  | Wcond { dst; value } ->
-      cond_writes := (dst, value) :: !cond_writes;
-      `Ok
-  | Wstore { addr; value; cpred; spec; fault } ->
-      Store_buffer.append st.sb ~addr ~value ~cpred ~spec ~fault;
-      `Ok
-  | Wreg { dst; value; cpred; fault; decided_seq; load_addr; _ } ->
-      if decided_seq then begin
-        Regfile.write_seq st.rf dst value;
-        `Ok
-      end
-      else begin
-        match eval_cpred st st.ccr cpred with
-        | Pred.False ->
-            st.wb_squashes <- st.wb_squashes + 1;
-            `Ok (* squashed in flight *)
-        | Pred.True ->
-            (* Committed during execution (like i6 in Table 1). A fault
-               surfacing here is a committed exception caught before
-               buffering: handle it like a normal exception. *)
-            let value =
-              match fault with
-              | None -> value
-              | Some f -> (
-                  handle_or_abort st f;
-                  match load_addr with
-                  | Some addr ->
-                      load_nonspec st ~addr ~load_pred:(Pred.source cpred)
-                  | None -> assert false)
-            in
-            Regfile.write_seq st.rf dst value;
-            `Ok
-        | Pred.Unspec -> (
-            match Regfile.write_spec st.rf dst value ~cpred ~fault with
-            | `Ok -> `Ok
-            | `Conflict -> `Conflict)
-      end
+(* Apply the writeback in slot [s]. Returns [false] when a speculative
+   register write hits an occupied shadow entry (single-shadow model):
+   the caller requeues it and stalls issue. Condition writes are only
+   collected, in [ready] order, for the caller to apply. *)
+let apply_wb st s =
+  let q = st.wbq in
+  match q.kind.(s) with
+  | Wout ->
+      st.output_rev <- q.value.(s) :: st.output_rev;
+      true
+  | Wcond ->
+      q.cw_cond.(q.ncw) <- q.dst.(s);
+      q.cw_value.(q.ncw) <- q.value.(s) <> 0;
+      q.ncw <- q.ncw + 1;
+      true
+  | Wstore ->
+      Store_buffer.append st.sb ~addr:q.dst.(s) ~value:q.value.(s)
+        ~cpred:q.cpred.(s) ~spec:q.spec.(s) ~fault:q.fault.(s);
+      true
+  | Wreg when not q.spec.(s) ->
+      Regfile.write_seq st.rf q.dst.(s) q.value.(s);
+      true
+  | Wreg -> (
+      let cpred = q.cpred.(s) in
+      match eval_cpred st st.ccr cpred with
+      | Pred.False ->
+          st.wb_squashes <- st.wb_squashes + 1;
+          true (* squashed in flight *)
+      | Pred.True ->
+          (* Committed during execution (like i6 in Table 1). A fault
+             surfacing here is a committed exception caught before
+             buffering: handle it like a normal exception. *)
+          let value =
+            match q.fault.(s) with
+            | None -> q.value.(s)
+            | Some (Fault.Arith _ as f) ->
+                handle_or_abort st f;
+                assert false
+            | Some (Fault.Mem _ as f) ->
+                handle_or_abort st f;
+                load_nonspec st ~addr:q.load_addr.(s) ~load_pred:cpred
+          in
+          Regfile.write_seq st.rf q.dst.(s) value;
+          true
+      | Pred.Unspec -> (
+          match
+            Regfile.write_spec st.rf q.dst.(s) q.value.(s) ~cpred
+              ~fault:q.fault.(s)
+          with
+          | `Ok -> true
+          | `Conflict -> false))
 
-let lookup_with st writes c =
-  match List.assoc_opt c writes with
-  | Some v -> if v then Pred.T else Pred.F
-  | None -> Ccr.get st.ccr c
+(* A condition's value as this cycle's collected writes would leave it:
+   the most recent write wins. *)
+let rec pending_cond st c i =
+  let q = st.wbq in
+  if i < 0 then Ccr.get st.ccr c
+  else if q.cw_cond.(i) = c then if q.cw_value.(i) then Pred.T else Pred.F
+  else pending_cond st c (i - 1)
 
-(* Detection (§3.5): would applying the pending condition writes commit a
-   buffered speculative exception? *)
-let detect st writes =
-  let lookup = lookup_with st writes in
+(* Detection (§3.5): would applying the collected condition writes commit
+   a buffered speculative exception? *)
+let detect st =
+  (Regfile.buffered_faults st.rf > 0 || Store_buffer.buffered_faults st.sb > 0)
+  &&
+  let lookup c = pending_cond st c (st.wbq.ncw - 1) in
   Regfile.committing_exceptions st.rf lookup <> []
   || Store_buffer.committing_exceptions st.sb lookup <> []
 
-let drain_store_buffer st =
-  let rec go () =
-    match Store_buffer.drain st.sb ~max:st.model.Machine_model.dcache_ports st.mem with
-    | _ -> ()
-    | exception Memory.Fault f ->
-        handle_or_abort st (Fault.Mem f);
-        go ()
-  in
-  go ()
+let rec drain_store_buffer st =
+  match
+    Store_buffer.drain st.sb ~max:st.model.Machine_model.dcache_ports st.mem
+  with
+  | _ -> ()
+  | exception Memory.Fault f ->
+      handle_or_abort st (Fault.Mem f);
+      drain_store_buffer st
 
 (* Complete all in-flight writebacks (used at region transitions: the
    machine interlocks until outstanding latencies drain). Returns the
    number of extra cycles charged. *)
-let flush_pending st ~allow_cond =
-  if st.pending = [] then 0
-  else begin
-    let last_due = List.fold_left (fun m p -> max m p.due) st.now st.pending in
-    let ps =
-      List.sort (fun a b -> compare (a.due, a.order) (b.due, b.order)) st.pending
-    in
-    st.pending <- [];
-    let cond_writes = ref [] in
-    List.iter
-      (fun p ->
-        match apply_wb st p.action ~cond_writes with
-        | `Ok -> ()
-        | `Conflict -> () (* dead: speculative state is about to be squashed *))
-      ps;
-    if !cond_writes <> [] && not allow_cond then
-      machine_error "Setc write pending at region exit";
-    List.iter
-      (fun (c, v) ->
-        Ccr.set st.ccr c v;
-        note_cond_write st c)
-      !cond_writes;
-    max 0 (last_due - st.now)
-  end
+let flush_pending st =
+  let q = st.wbq in
+  let n = wbq_gather q ~now:st.now ~all:true in
+  let last_due = ref st.now in
+  q.ncw <- 0;
+  for k = 0 to n - 1 do
+    let s = q.ready.(k) in
+    last_due := max !last_due q.due.(s);
+    (* a shadow conflict is dead: speculative state is about to be
+       squashed *)
+    ignore (apply_wb st s);
+    wbq_release q s
+  done;
+  if q.ncw > 0 then machine_error "Setc write pending at region exit";
+  !last_due - st.now
 
 let start_recovery st ~future =
   emit st Exception_detected;
@@ -730,22 +798,16 @@ let start_recovery st ~future =
   (* Invalidate all speculative state: this establishes the precise
      interrupt point. In-flight non-speculative writebacks complete;
      speculative ones are dropped with the shadow state they target. *)
-  let spec, nonspec =
-    List.partition
-      (fun p ->
-        match p.action with
-        | Wreg { decided_seq; _ } -> not decided_seq
-        | Wstore { spec; _ } -> spec
-        | Wcond _ | Wout _ -> false)
-      st.pending
-  in
-  ignore spec;
-  st.pending <- nonspec;
-  let cond_writes = ref [] in
-  let ps = List.sort (fun a b -> compare (a.due, a.order) (b.due, b.order)) st.pending in
-  st.pending <- [];
-  List.iter (fun p -> ignore (apply_wb st p.action ~cond_writes)) ps;
-  if !cond_writes <> [] then
+  let q = st.wbq in
+  let n = wbq_gather q ~now:st.now ~all:true in
+  q.ncw <- 0;
+  for k = 0 to n - 1 do
+    let s = q.ready.(k) in
+    let spec = match q.kind.(s) with Wreg | Wstore -> q.spec.(s) | Wcond | Wout -> false in
+    if not spec then ignore (apply_wb st s);
+    wbq_release q s
+  done;
+  if q.ncw > 0 then
     machine_error "non-speculative Setc pending across exception detection";
   Regfile.invalidate_spec st.rf;
   Store_buffer.invalidate_spec st.sb;
@@ -757,7 +819,7 @@ let start_recovery st ~future =
    speculative state. The caller then installs the next region (or
    halts). *)
 let exit_prologue st (target : Pcode.exit_target) =
-  emit st (Region_exit target);
+  if observing st then emit st (Region_exit target);
   eev st Psb_obs.Events.Region_exit
     ~a:(region_id st st.region.Pcode.name)
     ~b:
@@ -765,15 +827,18 @@ let exit_prologue st (target : Pcode.exit_target) =
       | Pcode.Stop -> -1
       | Pcode.To_region l -> region_id st l);
   st.region_transitions <- st.region_transitions + 1;
-  let extra = flush_pending st ~allow_cond:false in
+  let extra = flush_pending st in
   st.acct_transition <-
     st.acct_transition + extra + st.model.Machine_model.transition_penalty;
   st.now <- st.now + extra + st.model.Machine_model.transition_penalty;
   sync_now st;
   (* A final resolve pass: writebacks applied during the flush may have
      buffered state whose predicate is already decided. *)
-  ignore (Regfile.tick ~mode:st.pred_kernel ~dirty:(-1) st.rf st.ccr);
-  ignore (Store_buffer.tick ~mode:st.pred_kernel ~dirty:(-1) st.sb st.ccr);
+  ignore
+    (Regfile.tick ~mode:st.pred_kernel ~dirty:(-1) ~record:false st.rf st.ccr);
+  ignore
+    (Store_buffer.tick ~mode:st.pred_kernel ~dirty:(-1) ~record:false st.sb
+       st.ccr);
   (* Whatever speculative state remains belongs to untaken paths of the
      region being left (closed-region property): squash it. *)
   Regfile.invalidate_spec st.rf;
@@ -1035,6 +1100,19 @@ let issue_low st ls ~conflict =
         lr.Lowered.ex_tgt.(!fired)
   end
 
+let rec emit_reg_events st = function
+  | [] -> ()
+  | (r, a) :: rest ->
+      emit st (match a with `Commit -> Reg_commit r | `Squash -> Reg_squash r);
+      emit_reg_events st rest
+
+let rec emit_store_events st = function
+  | [] -> ()
+  | (addr, a) :: rest ->
+      emit st
+        (match a with `Commit -> Store_commit addr | `Squash -> Store_squash addr);
+      emit_store_events st rest
+
 let step st ~fuel =
   if st.now > fuel then raise Fuel_exhausted;
   sync_now st;
@@ -1053,23 +1131,24 @@ let step st ~fuel =
   | Recovery _ -> st.recovery_cycles <- st.recovery_cycles + 1
   | Normal -> ());
   (* 1. Apply writebacks due this cycle. *)
-  let due, later = List.partition (fun p -> p.due <= st.now) st.pending in
-  st.pending <- later;
-  let due = List.sort (fun a b -> compare (a.due, a.order) (b.due, b.order)) due in
-  let cond_writes = ref [] in
+  let q = st.wbq in
+  let n = wbq_gather q ~now:st.now ~all:false in
+  q.ncw <- 0;
   let conflict = ref false in
-  List.iter
-    (fun p ->
-      match apply_wb st p.action ~cond_writes with
-      | `Ok -> ()
-      | `Conflict ->
-          conflict := true;
-          st.pending <- { p with due = st.now + 1 } :: st.pending)
-    due;
-  (* 2. CCR update with exception detection. *)
+  for k = 0 to n - 1 do
+    let s = q.ready.(k) in
+    if apply_wb st s then wbq_release q s
+    else begin
+      conflict := true;
+      q.due.(s) <- st.now + 1;
+      wbq_requeue q s
+    end
+  done;
+  (* 2. CCR update with exception detection. The collected condition
+     writes apply most recent first. *)
   (match pending_assign with
   | Some future ->
-      assert (!cond_writes = []);
+      assert (q.ncw = 0);
       if
         Regfile.committing_exceptions st.rf (Ccr.lookup future) <> []
         || Store_buffer.committing_exceptions st.sb (Ccr.lookup future) <> []
@@ -1077,39 +1156,37 @@ let step st ~fuel =
       Ccr.assign st.ccr ~from:future;
       st.dirty <- -1
   | None ->
-      let writes = !cond_writes in
-      if writes <> [] && detect st writes then begin
+      if q.ncw > 0 && detect st then begin
         match st.mode with
         | Recovery _ -> machine_error "exception detection during recovery"
         | Normal ->
             (* Suppress the CCR update; the new value goes to the future
                CCR (§3.5). *)
             let future = Ccr.copy st.ccr in
-            List.iter (fun (c, v) -> Ccr.set future c v) writes;
+            for k = q.ncw - 1 downto 0 do
+              Ccr.set future q.cw_cond.(k) q.cw_value.(k)
+            done;
             start_recovery st ~future;
             st.kind <- Krecovery;
             raise Cycle_done (* re-execution starts next cycle *)
       end
       else
-        List.iter
-          (fun (c, v) ->
-            Ccr.set st.ccr c v;
-            note_cond_write st c;
-            eev st
-              (if v then Psb_obs.Events.Pred_true else Psb_obs.Events.Pred_false)
-              ~a:(Cond.index c) ~b:0;
-            emit st (Cond_set (c, v)))
-          writes);
+        for k = q.ncw - 1 downto 0 do
+          let c = q.cw_cond.(k) and v = q.cw_value.(k) in
+          Ccr.set st.ccr c v;
+          note_cond_write st c;
+          eev st
+            (if v then Psb_obs.Events.Pred_true else Psb_obs.Events.Pred_false)
+            ~a:(Cond.index c) ~b:0;
+          if observing st then emit st (Cond_set (c, v))
+        done);
   (* 3. Commit/squash the buffered speculative state. *)
-  List.iter
-    (fun (r, a) ->
-      emit st (match a with `Commit -> Reg_commit r | `Squash -> Reg_squash r))
-    (Regfile.tick ~mode:st.pred_kernel ~dirty:st.dirty st.rf st.ccr);
-  List.iter
-    (fun (a, act) ->
-      emit st
-        (match act with `Commit -> Store_commit a | `Squash -> Store_squash a))
-    (Store_buffer.tick ~mode:st.pred_kernel ~dirty:st.dirty st.sb st.ccr);
+  let record = observing st in
+  emit_reg_events st
+    (Regfile.tick ~mode:st.pred_kernel ~dirty:st.dirty ~record st.rf st.ccr);
+  emit_store_events st
+    (Store_buffer.tick ~mode:st.pred_kernel ~dirty:st.dirty ~record st.sb
+       st.ccr);
   st.dirty <- 0;
   (* Sample occupancy after commit/squash but before the drain — this is
      the point where buffered state held across the cycle is visible. *)
@@ -1202,8 +1279,10 @@ let run ?(fuel = default_fuel) ?(regfile_mode = Regfile.Single)
       region = region0;
       pc = 0;
       now = 0;
-      pending = [];
-      next_order = 0;
+      wbq = wbq_create 16;
+      xfault = None;
+      xfwd = false;
+      xaddr = 0;
       dirty = -1;
       output_rev = [];
       faults_handled = 0;

@@ -75,9 +75,9 @@ let test_regfile_commit () =
   check_bool "spec write ok" true
     (Regfile.write_spec rf (reg 0) 99 ~cpred:(Pred.compile p) ~fault:None = `Ok);
   check_int "seq unchanged" 10 (Regfile.read_seq rf (reg 0));
-  check_int "shadow read" 99 (Regfile.read rf (reg 0) ~shadow:true ~pred:p);
+  check_int "shadow read" 99 (Regfile.read rf (reg 0) ~shadow:true ~pred:(Pred.compile p));
   check_rf_counters rf;
-  ignore (Regfile.tick rf (ccr_with [ (0, true) ]));
+  ignore (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:(-1) ~record:true rf (ccr_with [ (0, true) ]));
   check_int "committed" 99 (Regfile.read_seq rf (reg 0));
   check_bool "shadow cleared" true (not (Regfile.has_spec rf));
   check_rf_counters rf
@@ -89,7 +89,7 @@ let test_regfile_squash () =
     (Regfile.write_spec rf (reg 1) 42
        ~cpred:(Pred.compile (p_true (cond 0)))
        ~fault:None);
-  ignore (Regfile.tick rf (ccr_with [ (0, false) ]));
+  ignore (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:(-1) ~record:true rf (ccr_with [ (0, false) ]));
   check_int "squashed: seq intact" 7 (Regfile.read_seq rf (reg 1));
   check_bool "no spec left" true (not (Regfile.has_spec rf));
   check_int "one squash" 1 (Regfile.squashes rf)
@@ -98,7 +98,7 @@ let test_regfile_shadow_fallback () =
   (* §3.5 operand fetch: reading shadow with V clear falls back to seq. *)
   let rf = Regfile.create ~nregs:4 () in
   Regfile.write_seq rf (reg 2) 5;
-  check_int "fallback" 5 (Regfile.read rf (reg 2) ~shadow:true ~pred:Pred.always)
+  check_int "fallback" 5 (Regfile.read rf (reg 2) ~shadow:true ~pred:Pred.compiled_always)
 
 let test_regfile_conflict () =
   let rf = Regfile.create ~nregs:4 () in
@@ -123,7 +123,7 @@ let test_regfile_infinite_mode () =
     (Regfile.write_spec rf (reg 0) 2 ~cpred:c1 ~fault:None = `Ok);
   check_int "no conflicts" 0 (Regfile.conflicts rf);
   (* c0 true, c1 false: version 1 commits, version 2 squashes. *)
-  ignore (Regfile.tick rf (ccr_with [ (0, true); (1, false) ]));
+  ignore (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:(-1) ~record:true rf (ccr_with [ (0, true); (1, false) ]));
   check_int "right version committed" 1 (Regfile.read_seq rf (reg 0))
 
 let test_regfile_exception_buffering () =
@@ -166,7 +166,7 @@ let test_sb_spec_blocks_drain () =
     ~spec:false ~fault:None;
   check_int "speculative head blocks" 0 (Store_buffer.drain sb ~max:8 mem);
   check_sb_counters sb;
-  ignore (Store_buffer.tick sb (ccr_with [ (0, true) ]));
+  ignore (Store_buffer.tick ~mode:Pred_kernel.Mask ~dirty:(-1) ~record:true sb (ccr_with [ (0, true) ]));
   check_sb_counters sb;
   check_int "after commit both drain" 2 (Store_buffer.drain sb ~max:8 mem);
   check_int "order preserved" 1 (Memory.peek mem 1)
@@ -177,7 +177,7 @@ let test_sb_squash () =
   Store_buffer.append sb ~addr:1 ~value:1
     ~cpred:(Pred.compile (p_true (cond 0)))
     ~spec:true ~fault:None;
-  ignore (Store_buffer.tick sb (ccr_with [ (0, false) ]));
+  ignore (Store_buffer.tick ~mode:Pred_kernel.Mask ~dirty:(-1) ~record:true sb (ccr_with [ (0, false) ]));
   check_sb_counters sb;
   check_int "squashed entry discarded" 0 (Store_buffer.drain sb ~max:8 mem);
   check_int "nothing written" 0 (Memory.peek mem 1);
@@ -185,26 +185,34 @@ let test_sb_squash () =
 
 let test_sb_forwarding () =
   let sb = Store_buffer.create () in
-  let p0 = p_true (cond 0) in
-  let not_p0 = Pred.of_list [ (cond 0, false) ] in
+  let p0 = Pred.compile (p_true (cond 0)) in
+  let not_p0 = Pred.compile (Pred.of_list [ (cond 0, false) ]) in
   let unspec = ccr_with [] in
+  let forward load_pred =
+    match
+      Store_buffer.forward ~mode:Pred_kernel.Mask sb ~addr:5 ~load_pred unspec
+    with
+    | Store_buffer.Hit ->
+        `Hit (Store_buffer.hit_value sb, Store_buffer.hit_fault sb)
+    | Store_buffer.Miss -> `Miss
+    | Store_buffer.Commit_dependence -> `Commit_dependence
+  in
   Store_buffer.append sb ~addr:5 ~value:50 ~cpred:Pred.compiled_always
     ~spec:false ~fault:None;
-  (match Store_buffer.forward sb ~addr:5 ~load_pred:Pred.always unspec with
+  (match forward Pred.compiled_always with
   | `Hit (50, None) -> ()
   | _ -> Alcotest.fail "expected hit from non-speculative entry");
-  Store_buffer.append sb ~addr:5 ~value:60 ~cpred:(Pred.compile p0) ~spec:true
-    ~fault:None;
+  Store_buffer.append sb ~addr:5 ~value:60 ~cpred:p0 ~spec:true ~fault:None;
   (* A load on the opposite path skips the speculative entry. *)
-  (match Store_buffer.forward sb ~addr:5 ~load_pred:not_p0 unspec with
+  (match forward not_p0 with
   | `Hit (50, None) -> ()
   | _ -> Alcotest.fail "disjoint speculative entry must be skipped");
   (* A load control-dependent on the store sees the speculative value. *)
-  (match Store_buffer.forward sb ~addr:5 ~load_pred:p0 unspec with
+  (match forward p0 with
   | `Hit (60, None) -> ()
   | _ -> Alcotest.fail "implied speculative entry must forward");
   (* An unrelated load with an unresolved store is a commit dependence. *)
-  (match Store_buffer.forward sb ~addr:5 ~load_pred:Pred.always unspec with
+  (match forward Pred.compiled_always with
   | `Commit_dependence -> ()
   | _ -> Alcotest.fail "expected commit-dependence report")
 
@@ -1030,10 +1038,10 @@ let test_regfile_dirty_gating () =
   let ccr = ccr_with [ (2, true) ] in
   (* cond 2 is specified, but the tick is told only cond 0 changed: the
      mask kernel must not even look. *)
-  ignore (Regfile.tick ~dirty:(1 lsl 0) rf ccr);
+  ignore (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:(1 lsl 0) ~record:true rf ccr);
   check_bool "still buffered after gated tick" true (Regfile.has_spec rf);
   check_int "skipped once" 1 (Regfile.tick_skipped rf);
-  ignore (Regfile.tick ~dirty:(1 lsl 2) rf ccr);
+  ignore (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:(1 lsl 2) ~record:true rf ccr);
   check_bool "committed once ungated" true (not (Regfile.has_spec rf));
   check_int "committed value" 9 (Regfile.read_seq rf (reg 0));
   check_rf_counters rf
@@ -1048,7 +1056,7 @@ let test_sb_dirty_gating_fresh_entry () =
   Store_buffer.append sb ~addr:3 ~value:33
     ~cpred:(Pred.compile (p_true (cond 0)))
     ~spec:true ~fault:None;
-  ignore (Store_buffer.tick ~dirty:0 sb ccr);
+  ignore (Store_buffer.tick ~mode:Pred_kernel.Mask ~dirty:0 ~record:true sb ccr);
   check_int "fresh entry examined despite empty dirty mask" 1
     (Store_buffer.tick_examined sb);
   check_int "committed and drains" 1 (Store_buffer.drain sb ~max:8 mem);
@@ -1057,8 +1065,8 @@ let test_sb_dirty_gating_fresh_entry () =
   Store_buffer.append sb ~addr:4 ~value:44
     ~cpred:(Pred.compile (p_true (cond 1)))
     ~spec:true ~fault:None;
-  ignore (Store_buffer.tick ~dirty:0 sb ccr);
-  ignore (Store_buffer.tick ~dirty:0 sb ccr);
+  ignore (Store_buffer.tick ~mode:Pred_kernel.Mask ~dirty:0 ~record:true sb ccr);
+  ignore (Store_buffer.tick ~mode:Pred_kernel.Mask ~dirty:0 ~record:true sb ccr);
   check_int "second tick skipped" 1 (Store_buffer.tick_skipped sb);
   check_sb_counters sb
 

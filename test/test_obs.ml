@@ -502,13 +502,13 @@ let test_tick_no_alloc_with_events () =
           ignore (f ())
         done)
   in
-  let rf0 = measure (fun () -> Regfile.tick ~mode ~dirty:(-1) rf_plain ccr) in
-  let rf1 = measure (fun () -> Regfile.tick ~mode ~dirty:(-1) rf_events ccr) in
+  let rf0 = measure (fun () -> Regfile.tick ~mode ~dirty:(-1) ~record:true rf_plain ccr) in
+  let rf1 = measure (fun () -> Regfile.tick ~mode ~dirty:(-1) ~record:true rf_events ccr) in
   let sb0 =
-    measure (fun () -> Store_buffer.tick ~mode ~dirty:(-1) sb_plain ccr)
+    measure (fun () -> Store_buffer.tick ~mode ~dirty:(-1) ~record:true sb_plain ccr)
   in
   let sb1 =
-    measure (fun () -> Store_buffer.tick ~mode ~dirty:(-1) sb_events ccr)
+    measure (fun () -> Store_buffer.tick ~mode ~dirty:(-1) ~record:true sb_events ccr)
   in
   check_bool
     (Printf.sprintf "events add nothing to rf tick (%+.0f words / 10k)"
