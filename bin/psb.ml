@@ -61,9 +61,20 @@ let model_arg =
     & opt mconv Model.region_pred
     & info [ "m"; "model" ] ~docv:"MODEL" ~doc:"Execution model (see `psb list`).")
 
+(* A count that must be at least 1: anything else is a usage error, not
+   an exception (or a stuck run) further in. *)
+let positive_int =
+  Arg.conv ~docv:"N"
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | Some _ | None ->
+            Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))),
+      Format.pp_print_int )
+
 let issue_arg =
   Arg.(
-    value & opt int 4
+    value & opt positive_int 4
     & info [ "issue" ] ~docv:"N" ~doc:"Issue width (full-issue machine if not 4).")
 
 let optimize_arg =
@@ -507,7 +518,7 @@ let speculate_cmd =
   let capacity =
     Arg.(
       value
-      & opt int (1 lsl 20)
+      & opt positive_int (1 lsl 20)
       & info [ "capacity" ] ~docv:"N"
           ~doc:
             "Event ring capacity (default 1048576). The scorecards only \
@@ -993,6 +1004,47 @@ let jobs_arg =
            cores). Results are byte-identical at every level.")
 
 let experiments_cmd =
+  let module E = Psb_eval.Experiments in
+  (* In print order; each entry prints under its own name. *)
+  let experiments =
+    [
+      ("table2", fun h _ ppf -> E.pp_table2 ppf (E.table2 h));
+      ("table3", fun h _ ppf -> E.pp_table3 ppf (E.table3 h));
+      ( "fig6",
+        fun h _ ppf ->
+          E.pp_speedups ~title:"Figure 6: restricted models" ppf (E.figure6 h)
+      );
+      ( "fig7",
+        fun h _ ppf ->
+          E.pp_speedups ~title:"Figure 7: predicating models" ppf (E.figure7 h)
+      );
+      ("fig8", fun h _ ppf -> E.pp_figure8 ppf (E.figure8 h));
+      ("shadow", fun h _ ppf -> E.pp_shadow ppf (E.shadow_ablation h));
+      ("validation", fun h _ ppf -> E.pp_validation ppf (E.validation h));
+      ( "related",
+        fun h _ ppf ->
+          E.pp_speedups ~title:"Related-work spectrum (2.2)" ppf
+            (E.related_work h) );
+      ("counter", fun h _ ppf -> E.pp_counter ppf (E.counter_ablation h));
+      ("btb", fun h _ ppf -> E.pp_btb ppf (E.btb_ablation h));
+      ("dup", fun h _ ppf -> E.pp_dup ppf (E.dup_ablation h));
+      ("size", fun h _ ppf -> E.pp_size ppf (E.code_growth h));
+      ("unroll", fun h _ ppf -> E.pp_unroll ppf (E.unroll_ablation h));
+      ( "limits",
+        fun _ _ ppf -> Psb_eval.Limits.pp ppf (Psb_eval.Limits.analyze_suite ())
+      );
+      ( "limits-gen",
+        fun _ _ ppf ->
+          Psb_eval.Limits.pp ppf (Psb_proptest.Fuzz.limits_fleet ~n:8 ~seed:7 ())
+      );
+      ( "sweep",
+        fun _ pool ppf -> E.pp_sweep ppf (E.predictability_sweep ?pool ()) );
+      ( "hwcost",
+        fun _ _ ppf ->
+          Psb_machine.Hwcost.pp_report ppf
+            (Psb_machine.Hwcost.analyze Psb_machine.Hwcost.default) );
+    ]
+  in
   let run jobs names =
     let pool =
       if jobs > 1 then Some (Psb_parallel.Pool.create ~jobs ()) else None
@@ -1001,61 +1053,18 @@ let experiments_cmd =
       ~finally:(fun () -> Option.iter Psb_parallel.Pool.shutdown pool)
     @@ fun () ->
     let h = Psb_eval.Harness.create ?pool () in
-    let print title pp v =
-      Format.printf "== %s ==@.%a@.@." title pp v
-    in
-    let all = names = [] in
-    let want n = all || List.mem n names in
-    if want "table2" then
-      print "table2" Psb_eval.Experiments.pp_table2 (Psb_eval.Experiments.table2 h);
-    if want "table3" then
-      print "table3" Psb_eval.Experiments.pp_table3 (Psb_eval.Experiments.table3 h);
-    if want "fig6" then
-      print "fig6"
-        (Psb_eval.Experiments.pp_speedups ~title:"Figure 6: restricted models")
-        (Psb_eval.Experiments.figure6 h);
-    if want "fig7" then
-      print "fig7"
-        (Psb_eval.Experiments.pp_speedups ~title:"Figure 7: predicating models")
-        (Psb_eval.Experiments.figure7 h);
-    if want "fig8" then
-      print "fig8" Psb_eval.Experiments.pp_figure8 (Psb_eval.Experiments.figure8 h);
-    if want "shadow" then
-      print "shadow" Psb_eval.Experiments.pp_shadow
-        (Psb_eval.Experiments.shadow_ablation h);
-    if want "validation" then
-      print "validation" Psb_eval.Experiments.pp_validation
-        (Psb_eval.Experiments.validation h);
-    if want "related" then
-      print "related"
-        (Psb_eval.Experiments.pp_speedups ~title:"Related-work spectrum (2.2)")
-        (Psb_eval.Experiments.related_work h);
-    if want "counter" then
-      print "counter" Psb_eval.Experiments.pp_counter
-        (Psb_eval.Experiments.counter_ablation h);
-    if want "btb" then
-      print "btb" Psb_eval.Experiments.pp_btb (Psb_eval.Experiments.btb_ablation h);
-    if want "dup" then
-      print "dup" Psb_eval.Experiments.pp_dup (Psb_eval.Experiments.dup_ablation h);
-    if want "size" then
-      print "size" Psb_eval.Experiments.pp_size
-        (Psb_eval.Experiments.code_growth h);
-    if want "unroll" then
-      print "unroll" Psb_eval.Experiments.pp_unroll
-        (Psb_eval.Experiments.unroll_ablation h);
-    if want "limits" then
-      print "limits" Psb_eval.Limits.pp (Psb_eval.Limits.analyze_suite ());
-    if want "limits-gen" then
-      print "limits-gen" Psb_eval.Limits.pp
-        (Psb_proptest.Fuzz.limits_fleet ~n:8 ~seed:7 ());
-    if want "sweep" then
-      print "sweep" Psb_eval.Experiments.pp_sweep
-        (Psb_eval.Experiments.predictability_sweep ?pool ());
-    if want "hwcost" then
-      print "hwcost" Psb_machine.Hwcost.pp_report
-        (Psb_machine.Hwcost.analyze Psb_machine.Hwcost.default)
+    List.iter
+      (fun (name, pp) ->
+        if names = [] || List.mem name names then
+          Format.printf "== %s ==@.%t@.@." name (pp h pool))
+      experiments
   in
-  let names = Arg.(value & pos_all string [] & info [] ~docv:"NAME") in
+  let names =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun (n, _) -> (n, n)) experiments)) []
+      & info [] ~docv:"NAME")
+  in
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Regenerate the paper's tables and figures (all, or by name)")

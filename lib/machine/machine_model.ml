@@ -51,6 +51,7 @@ let scalar =
   }
 
 let full_issue ~width ~max_spec_conds =
+  if width < 1 then invalid_arg "Machine_model.full_issue: width < 1";
   {
     issue_width = width;
     alu_units = width;

@@ -42,7 +42,8 @@ val scalar : t
 (** Single-issue reference (R3000-like). *)
 
 val full_issue : width:int -> max_spec_conds:int -> t
-(** Fully duplicated resources at the given issue width (Figure 8). *)
+(** Fully duplicated resources at the given issue width (Figure 8).
+    @raise Invalid_argument when [width < 1]: no bundle could issue. *)
 
 (** {2 Capacity accessors}
 

@@ -959,6 +959,17 @@ let test_pcode_text_errors () =
       "entry r\nregion r:\n  (0) alw ? nop\n" (* no exit in last bundle *);
     ]
 
+(* A machine that can issue nothing is rejected where it is built, not
+   left to stall a scheduler or a simulator. *)
+let test_full_issue_rejects_zero () =
+  List.iter
+    (fun width ->
+      Alcotest.check_raises
+        (Printf.sprintf "width %d" width)
+        (Invalid_argument "Machine_model.full_issue: width < 1")
+        (fun () -> ignore (Machine_model.full_issue ~width ~max_spec_conds:4)))
+    [ 0; -1 ]
+
 (* ---------- Predicate kernels: mask eval = map eval ---------- *)
 
 (* Random predicates whose condition indices straddle the word boundary
@@ -1006,6 +1017,17 @@ let prop_mask_eval_agrees =
       let by_map = Ccr.eval ccr p in
       Ccr.evalc ccr cp = by_map && Pred.eval p (Ccr.lookup ccr) = by_map)
 
+let prop_mask_relations_agree =
+  QCheck.Test.make
+    ~name:"compiled disjoint/implies/equal = map relations (incl. multi-word)"
+    ~count:2000
+    (QCheck.pair arb_boundary_pred arb_boundary_pred)
+    (fun (p, q) ->
+      let cp = Pred.compile p and cq = Pred.compile q in
+      Pred.disjoint_c cp cq = Pred.disjoint p q
+      && Pred.implies_c cp cq = Pred.implies p q
+      && Pred.equal_c cp cq = Pred.equal p q)
+
 let prop_mask_eval_tracks_resets =
   (* The packed mirror must stay coherent through set/reset/assign, not
      just after a straight-line fill. *)
@@ -1044,6 +1066,35 @@ let test_regfile_dirty_gating () =
   ignore (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:(1 lsl 2) ~record:true rf ccr);
   check_bool "committed once ungated" true (not (Regfile.has_spec rf));
   check_int "committed value" 9 (Regfile.read_seq rf (reg 0));
+  check_rf_counters rf
+
+(* The idle tick (nothing written since the last one) must count exactly
+   as the per-version gate would, and a multi-word version is never
+   skipped: its condition can be decided without a word-0 dirty bit. *)
+let test_regfile_idle_tick_wide () =
+  let rf = Regfile.create ~nregs:4 () in
+  let wide = cond (Pred.word_bits + 1) in
+  ignore
+    (Regfile.write_spec rf (reg 0) 1
+       ~cpred:(Pred.compile (p_true (cond 1)))
+       ~fault:None);
+  ignore
+    (Regfile.write_spec rf (reg 1) 2 ~cpred:(Pred.compile (p_true wide))
+       ~fault:None);
+  let ccr = ccr_with ~width:(Pred.word_bits + 2) [] in
+  let idle () =
+    ignore (Regfile.tick ~mode:Pred_kernel.Mask ~dirty:0 ~record:false rf ccr)
+  in
+  idle ();
+  check_int "narrow skipped" 1 (Regfile.tick_skipped rf);
+  check_int "wide examined" 1 (Regfile.tick_examined rf);
+  Ccr.set ccr wide false;
+  idle ();
+  check_int "wide squashed on an idle tick" 1 (Regfile.squashes rf);
+  idle ();
+  check_int "skipped in total" 3 (Regfile.tick_skipped rf);
+  check_int "examined in total" 2 (Regfile.tick_examined rf);
+  check_int "narrow still buffered" 1 (fst (Regfile.debug_recount rf));
   check_rf_counters rf
 
 (* A store appended with an already-decided predicate must be examined on
@@ -1706,7 +1757,11 @@ let () =
             test_vliw_bad_code_rejected;
         ] );
       ( "widths",
-        [ Alcotest.test_case "1/2/8-issue agree" `Quick test_vliw_widths_agree ] );
+        [
+          Alcotest.test_case "1/2/8-issue agree" `Quick test_vliw_widths_agree;
+          Alcotest.test_case "zero width rejected" `Quick
+            test_full_issue_rejects_zero;
+        ] );
       ( "pcode-text",
         [
           Alcotest.test_case "round trip" `Quick test_pcode_text_roundtrip;
@@ -1721,8 +1776,11 @@ let () =
         [
           Qc.to_alcotest prop_mask_eval_agrees;
           Qc.to_alcotest prop_mask_eval_tracks_resets;
+          Qc.to_alcotest prop_mask_relations_agree;
           Alcotest.test_case "regfile dirty gating" `Quick
             test_regfile_dirty_gating;
+          Alcotest.test_case "regfile idle tick, wide version" `Quick
+            test_regfile_idle_tick_wide;
           Alcotest.test_case "store-buffer fresh entry" `Quick
             test_sb_dirty_gating_fresh_entry;
           Alcotest.test_case "same-cycle condition writes" `Quick

@@ -524,6 +524,46 @@ let test_tick_no_alloc_with_events () =
     true
     (sb1 -. sb0 < 256.)
 
+(* The whole VLIW cycle loop: a run with no observer attached allocates
+   at most [bound] minor words per simulated cycle, on every suite kernel
+   under every executable model (the old pending-list queue and
+   list-building ticks cost about 170). The production kernels are named
+   explicitly, so the reference-kernel test lanes check the same thing. *)
+let test_vliw_run_alloc_bound () =
+  let bound = 20. in
+  List.iter
+    (fun (w : Dsl.t) ->
+      let _, profile =
+        Driver.profile_of w.Dsl.program ~regs:w.Dsl.regs
+          ~mem:(w.Dsl.make_mem ())
+      in
+      List.iter
+        (fun (model : Model.t) ->
+          if model.Model.executable then begin
+            let compiled =
+              Driver.compile ~model ~machine:Machine_model.base ~profile
+                w.Dsl.program
+            in
+            let mem = w.Dsl.make_mem () in
+            let cycles = ref 0 in
+            let words =
+              minor_words_of (fun () ->
+                  let res =
+                    Driver.run_vliw ~pred_kernel:Psb_machine.Pred_kernel.Mask
+                      ~exec_kernel:Psb_machine.Exec_kernel.Lowered compiled
+                      ~regs:w.Dsl.regs ~mem
+                  in
+                  cycles := res.Vliw_sim.cycles)
+            in
+            let per_cycle = words /. float_of_int !cycles in
+            check_bool
+              (Printf.sprintf "%s/%s: %.2f minor words per cycle <= %.0f"
+                 w.Dsl.name model.Model.name per_cycle bound)
+              true (per_cycle <= bound)
+          end)
+        Model.all)
+    Suite.all
+
 (* ---------- speculation scorecards ---------- *)
 
 (* The profiler's reconciliation guarantees, for every workload under
@@ -834,6 +874,11 @@ let () =
             test_events_emit_no_alloc;
           Alcotest.test_case "ticks allocation-free" `Quick
             test_tick_no_alloc_with_events;
+        ] );
+      ( "vliw allocation",
+        [
+          Alcotest.test_case "run allocation bound" `Quick
+            test_vliw_run_alloc_bound;
         ] );
       ( "speculation profile",
         [
