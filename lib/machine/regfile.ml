@@ -33,18 +33,23 @@ type t = {
   mutable live : int;
   mutable faults : int;
   mutable wide : int;
+  (* The registers holding versions, ascending: ticks and squashes walk
+     these instead of every entry. *)
+  live_regs : int array;
+  mutable nlive_regs : int;
   (* tick accounting for lib/obs *)
   mutable tick_examined : int;
   mutable tick_skipped : int;
 }
 
 let create ?(mode = Single) ?events ~nregs () =
+  let nregs = max nregs 1 in
   {
     mode;
     events;
     now = 0;
     entries =
-      Array.init (max nregs 1) (fun _ ->
+      Array.init nregs (fun _ ->
           { seq = 0; written = false; versions = [] });
     conflicts = 0;
     spec_writes = 0;
@@ -54,6 +59,8 @@ let create ?(mode = Single) ?events ~nregs () =
     live = 0;
     faults = 0;
     wide = 0;
+    live_regs = Array.make nregs 0;
+    nlive_regs = 0;
     tick_examined = 0;
     tick_skipped = 0;
   }
@@ -121,8 +128,19 @@ let fresh_version t ~value ~cpred ~fault ~old_fault =
   add_version t v;
   v
 
+(* Register [r] gains its first version. *)
+let add_live_reg t (r : Reg.t) =
+  let j = ref t.nlive_regs in
+  while !j > 0 && t.live_regs.(!j - 1) > (r :> int) do
+    t.live_regs.(!j) <- t.live_regs.(!j - 1);
+    decr j
+  done;
+  t.live_regs.(!j) <- (r :> int);
+  t.nlive_regs <- t.nlive_regs + 1
+
 let write_spec t r value ~cpred ~fault =
   let e = entry t r in
+  if e.versions = [] then add_live_reg t r;
   t.spec_writes <- t.spec_writes + 1;
   ev t Psb_obs.Events.Shadow_write (Reg.index r) value;
   match t.mode with
@@ -229,10 +247,11 @@ let tick ~mode ~dirty ~record t ccr =
     []
   end
   else begin
-    let events = ref [] in
-    for idx = 0 to Array.length t.entries - 1 do
+    let events = ref [] and kept = ref 0 in
+    for k = 0 to t.nlive_regs - 1 do
+      let idx = t.live_regs.(k) in
       let e = t.entries.(idx) in
-      match e.versions with
+      (match e.versions with
       | [] -> ()
       | [ v ] -> (
           (* At most one version (always, in the Single model): decide in
@@ -257,21 +276,26 @@ let tick ~mode ~dirty ~record t ccr =
               if record then events := (Reg.make idx, `Squash) :: !events)
       | _ :: _ :: _ ->
           let evs = tick_versions t ~mode ~dirty ccr idx e in
-          if record then events := List.rev_append evs !events
+          if record then events := List.rev_append evs !events);
+      if e.versions <> [] then begin
+        t.live_regs.(!kept) <- idx;
+        incr kept
+      end
     done;
+    t.nlive_regs <- !kept;
     List.rev !events
   end
 
 let invalidate_spec t =
   if t.live > 0 then begin
-    if t.events <> None then
-      Array.iteri
-        (fun idx e ->
-          List.iter
-            (fun _ -> ev t Psb_obs.Events.Shadow_squash idx 1)
-            e.versions)
-        t.entries;
-    Array.iter (fun e -> e.versions <- []) t.entries;
+    for k = 0 to t.nlive_regs - 1 do
+      let idx = t.live_regs.(k) in
+      let e = t.entries.(idx) in
+      if t.events <> None then
+        List.iter (fun _ -> ev t Psb_obs.Events.Shadow_squash idx 1) e.versions;
+      e.versions <- []
+    done;
+    t.nlive_regs <- 0;
     t.live <- 0;
     t.faults <- 0;
     t.wide <- 0

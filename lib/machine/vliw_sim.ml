@@ -186,8 +186,7 @@ let wbq_grow q =
   q.cw_cond <- ext q.cw_cond 0;
   q.cw_value <- ext q.cw_value false
 
-(* [cpred] and [fault] are written only where needed and [None] only over
-   [Some]: most slots never pay the write barrier. *)
+(* A free slot's fault is [None], which [set_fault] relies on. *)
 let wbq_release q s =
   if q.fault.(s) <> None then q.fault.(s) <- None;
   q.free.(q.nfree) <- s;
@@ -381,6 +380,8 @@ let schedule_cond st ~latency (c : Cond.t) v =
   st.wbq.dst.(s) <- (c :> int);
   st.wbq.value.(s) <- (if v then 1 else 0)
 
+(* The pointer fields are written only where an apply reads them, and
+   only when they change: most slots never pay the write barrier. *)
 let set_cpred q s cpred = if q.cpred.(s) != cpred then q.cpred.(s) <- cpred
 let set_fault q s fault = if fault <> None then q.fault.(s) <- fault
 

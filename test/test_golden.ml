@@ -235,11 +235,15 @@ let test_covers_suite (expected, _) () =
 
 let () =
   match Sys.getenv_opt "PSB_GOLDEN_PRINT" with
-  | Some which ->
-      let _, computed = List.assoc which fixtures in
-      List.iter
-        (fun (_, ls) -> List.iter print_endline ls)
-        (Lazy.force computed)
+  | Some which -> (
+      match List.assoc_opt which fixtures with
+      | Some (_, computed) ->
+          List.iter
+            (fun (_, ls) -> List.iter print_endline ls)
+            (Lazy.force computed)
+      | None ->
+          prerr_endline "PSB_GOLDEN_PRINT must name a fixture: profile or vliw";
+          exit 2)
   | None ->
       Alcotest.run "golden"
         (List.map
