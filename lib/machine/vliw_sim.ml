@@ -111,8 +111,9 @@ let machine_error fmt = Format.kasprintf (fun s -> raise (Machine_error s)) fmt
 (* ----- writeback queue -----
 
    Results in flight live in a slot pool laid out as structure-of-arrays:
-   a slot is taken at issue, written once, and freed when its writeback
-   applies; it never moves in between. [live] lists the taken slots in no
+   a slot is taken at issue, written once (a shadow conflict only moves
+   its [due]), and freed when its writeback applies; it never moves in
+   between. [live] lists the taken slots in no
    particular order. Each cycle the due ones are gathered into [ready],
    insertion-sorted by (due cycle, issue order) — the order writebacks
    apply in. The pool doubles when full, which is rare: results in flight
