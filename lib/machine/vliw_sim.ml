@@ -522,7 +522,7 @@ let spec_value st ~pred v =
           st.xfault <- None;
           handle_or_abort st f;
           match f with
-          | Fault.Arith _ -> 0
+          | Fault.Arith _ -> assert false (* never recoverable: aborted *)
           | Fault.Mem _ ->
               if forwarded then v else load_nonspec st ~addr ~load_pred:pred))
 
